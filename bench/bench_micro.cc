@@ -25,7 +25,6 @@
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
 #include "spe/join.h"
-#include "spe/multiway_join.h"
 #include "stream/auction_dataset.h"
 #include "stream/sensor_dataset.h"
 
@@ -164,11 +163,12 @@ void BM_WindowJoin(benchmark::State& state) {
   AuctionDataset auctions;
   auto open = AuctionDataset::OpenAuctionSchema();
   auto closed = AuctionDataset::ClosedAuctionSchema();
-  auto joined = MakeJoinedSchema(*open, "O", *closed, "C", "j");
+  auto joined =
+      MakeConcatenatedSchema({{open.get(), "O"}, {closed.get(), "C"}}, "j");
   size_t emitted = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    WindowJoinOperator join(3 * kHour, 0, {{0, 0}}, nullptr, joined);
+    WindowJoinOperator join({3 * kHour, 0}, {{0, 0, 1, 0}}, nullptr, joined);
     join.SetSink([&emitted](const Tuple&) { ++emitted; });
     auto open_gen = auctions.MakeOpenGenerator();
     auto closed_gen = auctions.MakeClosedGenerator();
@@ -195,9 +195,10 @@ void BM_WindowJoinProbe(benchmark::State& state) {
       "L", std::vector<AttributeDef>{{"k", ValueType::kInt64}});
   auto right = std::make_shared<Schema>(
       "R", std::vector<AttributeDef>{{"k", ValueType::kInt64}});
-  auto out = MakeJoinedSchema(*left, "L", *right, "R", "J");
-  WindowJoinOperator join(kInfiniteDuration, kInfiniteDuration, {{0, 0}},
-                          nullptr, out);
+  auto out = MakeConcatenatedSchema({{left.get(), "L"}, {right.get(), "R"}},
+                                    "J");
+  WindowJoinOperator join({kInfiniteDuration, kInfiniteDuration},
+                          {{0, 0, 1, 0}}, nullptr, out);
   join.SetSink(nullptr);
   // Populate the left window with distinct keys.
   for (int64_t i = 0; i < resident; ++i) {
@@ -224,8 +225,8 @@ void BM_MultiWayJoinThreeStreams(benchmark::State& state) {
   size_t emitted = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    MultiWayJoinOperator join({10, 10, 10}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
-                              nullptr, out);
+    WindowJoinOperator join({10, 10, 10}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
+                            nullptr, out);
     join.SetSink([&emitted](const Tuple&) { ++emitted; });
     state.ResumeTiming();
     Rng rng(7);

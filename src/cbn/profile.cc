@@ -87,8 +87,15 @@ std::string Profile::ToString() const {
   out += "} P={";
   std::vector<std::string> projs;
   for (const auto& [stream, attrs] : projections_) {
-    projs.push_back(stream + ":" +
-                    (attrs.empty() ? "*" : "[" + StrJoin(attrs, ",") + "]"));
+    std::string proj = stream + ":";
+    if (attrs.empty()) {
+      proj += "*";
+    } else {
+      proj += "[";
+      proj += StrJoin(attrs, ",");
+      proj += "]";
+    }
+    projs.push_back(std::move(proj));
   }
   out += StrJoin(projs, "; ");
   out += "} F={";

@@ -54,8 +54,12 @@ std::multiset<std::string> CanonicalResiduals(const AnalyzedQuery& q) {
       if (e->kind() == ExprKind::kArithmetic) {
         const auto& a = static_cast<const ArithmeticExpr&>(*e);
         const char* ops[] = {"+", "-", "*", "/"};
-        return "(" + Render(a.lhs()) + ops[static_cast<int>(a.op())] +
-               Render(a.rhs()) + ")";
+        std::string out = "(";
+        out += Render(a.lhs());
+        out += ops[static_cast<int>(a.op())];
+        out += Render(a.rhs());
+        out += ")";
+        return out;
       }
       if (e->kind() == ExprKind::kLogical) {
         const auto& l = static_cast<const LogicalExpr&>(*e);

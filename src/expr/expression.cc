@@ -105,7 +105,14 @@ std::string ArithmeticExpr::ToString() const {
       op = "/";
       break;
   }
-  return "(" + lhs_->ToString() + " " + op + " " + rhs_->ToString() + ")";
+  std::string out = "(";
+  out += lhs_->ToString();
+  out += " ";
+  out += op;
+  out += " ";
+  out += rhs_->ToString();
+  out += ")";
+  return out;
 }
 
 bool ArithmeticExpr::Equals(const Expr& other) const {

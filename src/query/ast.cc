@@ -41,7 +41,7 @@ std::string SelectItem::ToString() const {
   std::string out;
   switch (kind) {
     case Kind::kStar:
-      out = "*";
+      out += "*";
       break;
     case Kind::kQualifiedStar:
       out = qualifier + ".*";

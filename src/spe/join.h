@@ -2,74 +2,113 @@
 #define COSMOS_SPE_JOIN_H_
 
 #include <deque>
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "spe/operator.h"
-#include "spe/window.h"
 
 namespace cosmos {
 
-// Symmetric time-window join of two streams (Lemma 1 of the paper): tuples
-// t1 (port 0, window T1) and t2 (port 1, window T2) join iff
-//   (1) the join predicates hold, and
-//   (2) -T1 <= t1.timestamp - t2.timestamp <= T2.
-// With per-port event-time-ordered arrival, a new t1 probes the port-1
-// buffer for t2.timestamp in [t1.timestamp - T2, t1.timestamp]; symmetric
-// for t2. Expired tuples are evicted lazily. [Now] windows (T = 0) match
-// only equal timestamps; unbounded windows never evict.
+// Symmetric sliding-window join of n >= 2 streams with CQL semantics
+// (Lemma 1 of the paper, generalized): a combination (t_1, ..., t_n), one
+// tuple per input port, joins iff
+//   (1) every equi-key constraint holds,
+//   (2) the residual predicate holds on the concatenated tuple, and
+//   (3) tau - t_i.timestamp <= T_i for every port i, where
+//       tau = max_j t_j.timestamp is the result's event time.
+// At n = 2, (3) is Lemma 1's -T1 <= t1.timestamp - t2.timestamp <= T2.
+// [Now] windows (T = 0) admit only components as new as tau; unbounded
+// windows never evict.
 //
-// Equi-keyed joins probe a hash index over the resident window (O(matches)
-// per arrival); key-less joins scan the window (temporal cross join).
+// Each port's input must arrive in event-time order, but ports may
+// interleave arbitrarily (streams reach a processor over paths of different
+// delay). A combination is emitted once, when its last component arrives,
+// so the results do not depend on the cross-port arrival order. Buffer j
+// drops a tuple only when it is more than T_j older than the smallest
+// latest-seen timestamp among the other ports: every later combination
+// holds a later arrival from one of them, which bounds tau from below.
 //
-// The output schema must be MakeJoinedSchema(left, la, right, ra, name);
-// output timestamp = max of the two input timestamps.
+// Each arriving port binds the other ports in a fixed order chosen at
+// construction. A port tied by equi-keys to ports already bound is probed
+// through a hash index on those key attributes; an untied port is scanned.
+// Condition (3) prunes pairwise as each port is bound.
+//
+// The output schema must be MakeConcatenatedSchema of the inputs in port
+// order; the output timestamp is tau.
 class WindowJoinOperator final : public Operator {
  public:
-  // `key_pairs` are (left attr index, right attr index) equi-join keys (may
-  // be empty: pure temporal cross join). `residual` is evaluated on the
-  // joined tuple (alias-qualified names), may be null.
-  WindowJoinOperator(Duration left_window, Duration right_window,
-                     std::vector<std::pair<size_t, size_t>> key_pairs,
-                     ExprPtr residual,
+  // An equi-join constraint between two ports' attributes (indexes into
+  // the respective input schemas).
+  struct KeyConstraint {
+    size_t left_port = 0;
+    size_t left_attr = 0;
+    size_t right_port = 0;
+    size_t right_attr = 0;
+  };
+
+  // One window per input port. `keys` may be empty (pure temporal cross
+  // join); `residual` is evaluated on the joined tuple (alias-qualified
+  // names) and may be null.
+  WindowJoinOperator(std::vector<Duration> windows,
+                     std::vector<KeyConstraint> keys, ExprPtr residual,
                      std::shared_ptr<const Schema> output_schema);
 
   void Push(size_t port, const Tuple& tuple) override;
 
-  size_t left_buffer_size() const { return left_.tuples.size(); }
-  size_t right_buffer_size() const { return right_.tuples.size(); }
+  size_t buffer_size(size_t port) const { return ports_[port].tuples.size(); }
 
  private:
-  // A window of resident tuples with a hash index over the join key.
-  // Tuples are addressed by monotonically increasing sequence numbers so
-  // index entries survive front eviction (seq - base = deque position).
-  struct SideBuffer {
-    Duration window = kInfiniteDuration;
-    std::vector<size_t> key_attrs;
-    std::deque<Tuple> tuples;
-    uint64_t base = 0;
-    std::unordered_multimap<size_t, uint64_t> index;  // key hash -> seq
-
-    void Insert(const Tuple& t);
-    // Drops tuples with timestamp < now - window (and their index entries).
-    void Evict(Timestamp now);
-    size_t KeyHash(const Tuple& t) const;
+  // A hash index over one port's buffer, keyed on `attrs`.
+  struct Index {
+    std::vector<size_t> attrs;
+    std::unordered_multimap<size_t, uint64_t> seqs;  // key hash -> seq
   };
 
-  bool KeysEqual(const Tuple& l, const Tuple& r) const;
-  void Probe(const Tuple& arriving, bool arriving_is_left);
-  void EmitJoined(const Tuple& l, const Tuple& r);
-  // Lemma-1 temporal test for a (left, right) pair.
-  bool TemporalOk(const Tuple& l, const Tuple& r) const;
+  // One port's window. Tuples are addressed by monotonically increasing
+  // sequence numbers so index entries survive front eviction
+  // (seq - base = deque position).
+  struct Port {
+    Duration window = kInfiniteDuration;
+    Timestamp latest = kInvalidTimestamp;
+    std::deque<Tuple> tuples;
+    uint64_t base = 0;
+    std::vector<Index> indexes;
+  };
 
-  Duration left_window_;
-  Duration right_window_;
-  std::vector<size_t> left_keys_;
-  std::vector<size_t> right_keys_;
+  // An attribute of a port bound earlier in the probe.
+  struct BoundAttr {
+    size_t port = 0;
+    size_t attr = 0;
+  };
+
+  // Binding one port during a probe: candidates come from
+  // `ports_[port].indexes[index]`, looked up by the values of `key`
+  // (parallel to that index's attrs), or from a scan when `key` is empty.
+  struct Step {
+    size_t port = 0;
+    size_t index = 0;
+    std::vector<BoundAttr> key;
+  };
+
+  // The index of `port` keyed on `attrs`, created on first request.
+  size_t IndexFor(size_t port, const std::vector<size_t>& attrs);
+  void Insert(size_t port, const Tuple& tuple);
+  // Drops the tuples of `port` older than `floor` - T.
+  void Evict(size_t port, Timestamp floor);
+  // Binds steps[depth..] onto chosen_; `tau` is the newest timestamp bound
+  // so far and `deadline` the newest tau every bound tuple's window allows.
+  void Bind(const std::vector<Step>& steps, size_t depth, Timestamp tau,
+            Timestamp deadline);
+  void EmitCombination(Timestamp tau);
+
+  std::vector<Port> ports_;
+  // Per arriving port: the order in which the other ports are bound.
+  std::vector<std::vector<Step>> probe_orders_;
   LazyPredicate residual_;
   std::shared_ptr<const Schema> output_schema_;
-
-  SideBuffer left_;
-  SideBuffer right_;
+  // The combination being bound, one tuple per port.
+  std::vector<const Tuple*> chosen_;
 };
 
 }  // namespace cosmos

@@ -13,11 +13,11 @@ namespace cosmos {
 // An executable operator pipeline compiled from an AnalyzedQuery:
 //
 //   per source:  Adapt -> Select(local selection)
-//   then:        [WindowJoin]  (two sources)
+//   then:        [WindowJoin]  (2-8 sources)
 //                [WindowAggregate] (single source with aggregates)
 //   finally:     Project -> result stream
 //
-// Supported shapes: 1-2 sources, select-project(-join), single-source
+// Supported shapes: 1-8 sources, select-project(-join), single-source
 // grouped aggregation. These cover every query the paper's examples and
 // evaluation workloads use; anything else returns kUnimplemented.
 class QueryPlan {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -53,13 +54,12 @@ class Tuple {
   Timestamp timestamp_ = kInvalidTimestamp;
 };
 
-// Builds the composite schema for a join of `left` and `right`, qualifying
-// attribute names with the given aliases ("O", "C").
-std::shared_ptr<const Schema> MakeJoinedSchema(const Schema& left,
-                                               const std::string& left_alias,
-                                               const Schema& right,
-                                               const std::string& right_alias,
-                                               const std::string& name);
+// Concatenates several schemas in the given order, qualifying attribute
+// names with each part's alias ("O.id", "C.id") — the output schema of a
+// window join over those inputs.
+std::shared_ptr<const Schema> MakeConcatenatedSchema(
+    const std::vector<std::pair<const Schema*, std::string>>& parts,
+    const std::string& name);
 
 }  // namespace cosmos
 

@@ -1,6 +1,9 @@
-#include "spe/multiway_join.h"
+#include "spe/join.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
 
 #include "common/random.h"
 #include "query/parser.h"
@@ -41,7 +44,7 @@ TEST_F(MultiWayJoinTest, ConcatenatedSchemaQualifies) {
 
 TEST_F(MultiWayJoinTest, ThreeWayKeyChainJoins) {
   // A.k = B.k and B.k = C.k.
-  MultiWayJoinOperator join(
+  WindowJoinOperator join(
       {kInfiniteDuration, kInfiniteDuration, kInfiniteDuration},
       {{0, 0, 1, 0}, {1, 0, 2, 0}}, nullptr, out_);
   std::vector<Tuple> results;
@@ -60,7 +63,7 @@ TEST_F(MultiWayJoinTest, ThreeWayKeyChainJoins) {
 }
 
 TEST_F(MultiWayJoinTest, ArrivalOnMiddlePortCompletesCombination) {
-  MultiWayJoinOperator join(
+  WindowJoinOperator join(
       {kInfiniteDuration, kInfiniteDuration, kInfiniteDuration},
       {{0, 0, 1, 0}, {1, 0, 2, 0}}, nullptr, out_);
   int n = 0;
@@ -74,7 +77,7 @@ TEST_F(MultiWayJoinTest, ArrivalOnMiddlePortCompletesCombination) {
 TEST_F(MultiWayJoinTest, WindowConditionUsesTau) {
   // Windows: A 10, B 10, C 10. A combination joins iff every component is
   // within 10 of the max timestamp.
-  MultiWayJoinOperator join({10, 10, 10}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
+  WindowJoinOperator join({10, 10, 10}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
                             nullptr, out_);
   int n = 0;
   join.SetSink([&](const Tuple&) { ++n; });
@@ -89,7 +92,7 @@ TEST_F(MultiWayJoinTest, WindowConditionUsesTau) {
 }
 
 TEST_F(MultiWayJoinTest, MultipleCombinationsPerArrival) {
-  MultiWayJoinOperator join(
+  WindowJoinOperator join(
       {kInfiniteDuration, kInfiniteDuration, kInfiniteDuration},
       {{0, 0, 1, 0}, {1, 0, 2, 0}}, nullptr, out_);
   int n = 0;
@@ -105,7 +108,7 @@ TEST_F(MultiWayJoinTest, MultipleCombinationsPerArrival) {
 TEST_F(MultiWayJoinTest, ResidualFiltersCombinations) {
   auto residual = ParseExpression("A.v < C.v");
   ASSERT_TRUE(residual.ok());
-  MultiWayJoinOperator join(
+  WindowJoinOperator join(
       {kInfiniteDuration, kInfiniteDuration, kInfiniteDuration},
       {{0, 0, 1, 0}, {1, 0, 2, 0}}, *residual, out_);
   int n = 0;
@@ -117,68 +120,127 @@ TEST_F(MultiWayJoinTest, ResidualFiltersCombinations) {
   EXPECT_EQ(n, 1);
 }
 
-// Pairwise two-way equivalence: MultiWayJoin(n=2) must agree with the
-// specialized WindowJoinOperator's Lemma-1 oracle.
-class MultiWayOracleTest : public ::testing::TestWithParam<uint64_t> {};
+TEST_F(MultiWayJoinTest, ResultsDoNotDependOnCrossPortArrivalOrder) {
+  // A@100, B@100, C@95 with windows 10: tau = 100 and every age is <= 10,
+  // so the combination joins whichever tuple arrives last.
+  auto by_port = [](const auto& x, const auto& y) { return x.first < y.first; };
+  std::vector<std::pair<size_t, Tuple>> arrivals = {
+      {0, Part(a_, 1, 0, 100)}, {1, Part(b_, 1, 0, 100)},
+      {2, Part(c_, 1, 0, 95)}};
+  do {
+    WindowJoinOperator join({10, 10, 10}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
+                            nullptr, out_);
+    std::vector<Tuple> results;
+    join.SetSink([&](const Tuple& t) { results.push_back(t); });
+    for (const auto& [port, tuple] : arrivals) join.Push(port, tuple);
+    ASSERT_EQ(results.size(), 1u) << "last port " << arrivals.back().first;
+    EXPECT_EQ(results[0].timestamp(), 100);
+  } while (std::next_permutation(arrivals.begin(), arrivals.end(), by_port));
+}
 
-TEST_P(MultiWayOracleTest, ThreeWayMatchesNestedLoopOracle) {
-  Rng rng(GetParam());
-  auto a = PartSchema("A");
-  auto b = PartSchema("B");
-  auto c = PartSchema("C");
-  auto out = MakeConcatenatedSchema(
-      {{a.get(), "A"}, {b.get(), "B"}, {c.get(), "C"}}, "J");
-  const Duration ta = rng.NextInt(0, 15);
-  const Duration tb = rng.NextInt(0, 15);
-  const Duration tc = rng.NextInt(0, 15);
+TEST_F(MultiWayJoinTest, EvictionWaitsForTheSlowestPort) {
+  // Windows 20. A@100 must not evict B@45 while C has not yet been seen:
+  // C@60 still completes (A@50, B@45, C@60) at tau = 60.
+  WindowJoinOperator join({20, 20, 20}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
+                          nullptr, out_);
+  std::vector<Tuple> results;
+  join.SetSink([&](const Tuple& t) { results.push_back(t); });
+  join.Push(0, Part(a_, 1, 0, 50));
+  join.Push(1, Part(b_, 1, 0, 45));
+  join.Push(0, Part(a_, 1, 0, 100));
+  join.Push(2, Part(c_, 1, 0, 60));
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].GetAttribute("A.k")->AsInt64(), 1);
+  EXPECT_EQ(results[0].timestamp(), 60);
+  // Once every other port has moved past B@45's window, it is evicted.
+  join.Push(2, Part(c_, 1, 0, 100));
+  EXPECT_EQ(join.buffer_size(1), 0u);
+}
+
+// The streaming join against a nested-loop oracle over the full history:
+// `n` ports chained by equal keys, random windows, and each port's tuples
+// in event-time order but the ports interleaved at random, as when streams
+// reach a processor over paths of different delay.
+void ExpectMatchesNestedLoopOracle(size_t n, uint64_t seed,
+                                   int tuples_per_port) {
+  Rng rng(seed);
+  std::vector<std::shared_ptr<const Schema>> schemas;
+  std::vector<std::string> aliases;
+  std::vector<Duration> windows;
+  std::vector<WindowJoinOperator::KeyConstraint> keys;
+  for (size_t p = 0; p < n; ++p) {
+    aliases.emplace_back(1, static_cast<char>('A' + p));
+    schemas.push_back(PartSchema(aliases.back()));
+    windows.push_back(rng.NextInt(0, 15));
+    if (p > 0) keys.push_back({p - 1, 0, p, 0});
+  }
+  std::vector<std::pair<const Schema*, std::string>> parts;
+  for (size_t p = 0; p < n; ++p) {
+    parts.emplace_back(schemas[p].get(), aliases[p]);
+  }
+  auto out = MakeConcatenatedSchema(parts, "J");
 
   struct Row {
-    int port;
     int64_t k;
     Timestamp ts;
   };
-  std::vector<Row> rows;
-  Timestamp now = 0;
-  for (int i = 0; i < 120; ++i) {
-    now += rng.NextInt(0, 3);
-    rows.push_back({static_cast<int>(rng.NextBounded(3)),
-                    rng.NextInt(0, 3), now});
-  }
-
-  MultiWayJoinOperator join({ta, tb, tc}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
-                            nullptr, out);
-  int streamed = 0;
-  join.SetSink([&](const Tuple&) { ++streamed; });
-  std::vector<std::shared_ptr<const Schema>> schemas = {a, b, c};
-  for (const auto& r : rows) {
-    join.Push(static_cast<size_t>(r.port),
-              Part(schemas[r.port], r.k, 0, r.ts));
-  }
-
-  // Oracle: all (A,B,C) triples with equal keys and every age <= its
-  // window at tau = max timestamp.
-  int oracle = 0;
-  Duration windows[3] = {ta, tb, tc};
-  for (const auto& x : rows) {
-    if (x.port != 0) continue;
-    for (const auto& y : rows) {
-      if (y.port != 1 || y.k != x.k) continue;
-      for (const auto& z : rows) {
-        if (z.port != 2 || z.k != x.k) continue;
-        Timestamp tau = std::max({x.ts, y.ts, z.ts});
-        Timestamp parts[3] = {x.ts, y.ts, z.ts};
-        bool ok = true;
-        for (int i = 0; i < 3; ++i) {
-          if (windows[i] != kInfiniteDuration &&
-              tau - parts[i] > windows[i]) {
-            ok = false;
-          }
-        }
-        if (ok) ++oracle;
-      }
+  std::vector<std::vector<Row>> history(n);
+  for (auto& rows : history) {
+    Timestamp now = 0;
+    for (int i = 0; i < tuples_per_port; ++i) {
+      now += rng.NextInt(0, 3);
+      rows.push_back({rng.NextInt(0, 3), now});
     }
   }
-  EXPECT_EQ(streamed, oracle) << "Ta=" << ta << " Tb=" << tb << " Tc=" << tc;
+
+  WindowJoinOperator join(windows, keys, nullptr, out);
+  int streamed = 0;
+  join.SetSink([&](const Tuple&) { ++streamed; });
+  std::vector<size_t> next(n, 0);
+  for (size_t left = n * tuples_per_port; left > 0;) {
+    size_t p = rng.NextBounded(n);
+    if (next[p] == history[p].size()) continue;
+    const Row& r = history[p][next[p]++];
+    join.Push(p, Part(schemas[p], r.k, 0, r.ts));
+    --left;
+  }
+
+  // Oracle: every combination with equal keys whose components are all
+  // inside their windows at tau = the newest timestamp.
+  int oracle = 0;
+  std::vector<const Row*> combo(n);
+  std::function<void(size_t)> extend = [&](size_t p) {
+    if (p == n) {
+      Timestamp tau = 0;
+      for (const Row* r : combo) tau = std::max(tau, r->ts);
+      for (size_t i = 0; i < n; ++i) {
+        if (tau - combo[i]->ts > windows[i]) return;
+      }
+      ++oracle;
+      return;
+    }
+    for (const Row& r : history[p]) {
+      if (p > 0 && r.k != combo[0]->k) continue;
+      combo[p] = &r;
+      extend(p + 1);
+    }
+  };
+  extend(0);
+  EXPECT_EQ(streamed, oracle) << "n=" << n << " seed=" << seed;
+}
+
+class MultiWayOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MultiWayOracleTest, TwoWayMatchesNestedLoopOracle) {
+  ExpectMatchesNestedLoopOracle(2, GetParam(), 100);
+}
+
+TEST_P(MultiWayOracleTest, ThreeWayMatchesNestedLoopOracle) {
+  ExpectMatchesNestedLoopOracle(3, GetParam(), 40);
+}
+
+TEST_P(MultiWayOracleTest, FourWayMatchesNestedLoopOracle) {
+  ExpectMatchesNestedLoopOracle(4, GetParam(), 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiWayOracleTest,

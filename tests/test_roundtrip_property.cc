@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/containment.h"
 #include "core/merger.h"
 #include "core/workload.h"
@@ -50,7 +51,7 @@ TEST_P(RoundTripPropertyTest, PairwiseMergesRoundTripThroughCql) {
   QueryWorkloadGenerator gen(&catalog_, wl);
   std::vector<AnalyzedQuery> queries;
   for (int i = 0; i < 40; ++i) {
-    auto q = ParseAndAnalyze(gen.NextCql(), catalog_, "r" + std::to_string(i));
+    auto q = ParseAndAnalyze(gen.NextCql(), catalog_, StrFormat("r%d", i));
     ASSERT_TRUE(q.ok());
     queries.push_back(std::move(*q));
   }

@@ -100,10 +100,10 @@ TEST(Tuple, EqualityIsValueWise) {
   EXPECT_FALSE(a == c);
 }
 
-TEST(Tuple, MakeJoinedSchemaQualifiesNames) {
+TEST(Tuple, MakeConcatenatedSchemaQualifiesNames) {
   Schema left("L", {{"id", ValueType::kInt64}, {"x", ValueType::kDouble}});
   Schema right("R", {{"id", ValueType::kInt64}, {"y", ValueType::kDouble}});
-  auto joined = MakeJoinedSchema(left, "A", right, "B", "J");
+  auto joined = MakeConcatenatedSchema({{&left, "A"}, {&right, "B"}}, "J");
   EXPECT_EQ(joined->stream_name(), "J");
   ASSERT_EQ(joined->num_attributes(), 4u);
   EXPECT_TRUE(joined->HasAttribute("A.id"));

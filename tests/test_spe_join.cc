@@ -28,11 +28,15 @@ Tuple R(int64_t id, double y, Timestamp ts) {
 }
 
 std::shared_ptr<const Schema> Joined() {
-  return MakeJoinedSchema(*LeftSchema(), "L", *RightSchema(), "R", "J");
+  return MakeConcatenatedSchema(
+      {{LeftSchema().get(), "L"}, {RightSchema().get(), "R"}}, "J");
 }
 
+// Equi-join on L.id = R.id.
+const std::vector<WindowJoinOperator::KeyConstraint> kOnId = {{0, 0, 1, 0}};
+
 TEST(WindowJoin, EquiKeyMatch) {
-  WindowJoinOperator join(kInfiniteDuration, kInfiniteDuration, {{0, 0}},
+  WindowJoinOperator join({kInfiniteDuration, kInfiniteDuration}, kOnId,
                           nullptr, Joined());
   std::vector<Tuple> out;
   join.SetSink([&](const Tuple& t) { out.push_back(t); });
@@ -46,7 +50,7 @@ TEST(WindowJoin, EquiKeyMatch) {
 }
 
 TEST(WindowJoin, SymmetricProbing) {
-  WindowJoinOperator join(kInfiniteDuration, kInfiniteDuration, {{0, 0}},
+  WindowJoinOperator join({kInfiniteDuration, kInfiniteDuration}, kOnId,
                           nullptr, Joined());
   int n = 0;
   join.SetSink([&](const Tuple&) { ++n; });
@@ -58,7 +62,7 @@ TEST(WindowJoin, SymmetricProbing) {
 TEST(WindowJoin, Lemma1TemporalCondition) {
   // T1 (left window) = 10, T2 (right window) = 5:
   // join iff -10 <= l.ts - r.ts <= 5.
-  WindowJoinOperator join(10, 5, {{0, 0}}, nullptr, Joined());
+  WindowJoinOperator join({10, 5}, kOnId, nullptr, Joined());
   std::vector<std::pair<Timestamp, Timestamp>> matched;
   join.SetSink([&](const Tuple& t) {
     matched.push_back({t.GetAttribute("L.id")->AsInt64(),
@@ -81,7 +85,7 @@ TEST(WindowJoin, Lemma1TemporalCondition) {
 
 TEST(WindowJoin, NowWindowMatchesEqualTimestampsOnly) {
   // Right window [Now] (0): l.ts - r.ts <= 0; left window 10.
-  WindowJoinOperator join(10, 0, {{0, 0}}, nullptr, Joined());
+  WindowJoinOperator join({10, 0}, kOnId, nullptr, Joined());
   int n = 0;
   join.SetSink([&](const Tuple&) { ++n; });
   join.Push(0, L(1, 0, 100));
@@ -93,17 +97,17 @@ TEST(WindowJoin, NowWindowMatchesEqualTimestampsOnly) {
 }
 
 TEST(WindowJoin, EvictionDropsExpiredPartners) {
-  WindowJoinOperator join(10, 10, {{0, 0}}, nullptr, Joined());
+  WindowJoinOperator join({10, 10}, kOnId, nullptr, Joined());
   int n = 0;
   join.SetSink([&](const Tuple&) { ++n; });
   join.Push(0, L(1, 0, 0));
   join.Push(1, R(1, 0, 20));  // l expired (20 - 0 > 10): no match
   EXPECT_EQ(n, 0);
-  EXPECT_EQ(join.left_buffer_size(), 0u);  // evicted
+  EXPECT_EQ(join.buffer_size(0), 0u);  // evicted
 }
 
 TEST(WindowJoin, MultipleMatchesPerArrival) {
-  WindowJoinOperator join(kInfiniteDuration, kInfiniteDuration, {{0, 0}},
+  WindowJoinOperator join({kInfiniteDuration, kInfiniteDuration}, kOnId,
                           nullptr, Joined());
   int n = 0;
   join.SetSink([&](const Tuple&) { ++n; });
@@ -116,7 +120,7 @@ TEST(WindowJoin, MultipleMatchesPerArrival) {
 
 TEST(WindowJoin, ResidualPredicateFiltersJoined) {
   // Join with residual L.x < R.y.
-  WindowJoinOperator join(kInfiniteDuration, kInfiniteDuration, {{0, 0}},
+  WindowJoinOperator join({kInfiniteDuration, kInfiniteDuration}, kOnId,
                           *ParseExpression("L.x < R.y"), Joined());
   int n = 0;
   join.SetSink([&](const Tuple&) { ++n; });
@@ -127,7 +131,7 @@ TEST(WindowJoin, ResidualPredicateFiltersJoined) {
 }
 
 TEST(WindowJoin, NoKeysMeansTemporalCrossJoin) {
-  WindowJoinOperator join(5, 5, {}, nullptr, Joined());
+  WindowJoinOperator join({5, 5}, {}, nullptr, Joined());
   int n = 0;
   join.SetSink([&](const Tuple&) { ++n; });
   join.Push(0, L(1, 0, 0));
@@ -138,8 +142,8 @@ TEST(WindowJoin, NoKeysMeansTemporalCrossJoin) {
 
 TEST(WindowJoin, MultiKeyJoin) {
   // Join on (id, x=y).
-  WindowJoinOperator join(kInfiniteDuration, kInfiniteDuration,
-                          {{0, 0}, {1, 1}}, nullptr, Joined());
+  WindowJoinOperator join({kInfiniteDuration, kInfiniteDuration},
+                          {{0, 0, 1, 0}, {0, 1, 1, 1}}, nullptr, Joined());
   int n = 0;
   join.SetSink([&](const Tuple&) { ++n; });
   join.Push(0, L(1, 5.0, 0));
@@ -169,7 +173,7 @@ TEST_P(JoinPropertyTest, MatchesNestedLoopOracle) {
     rows.push_back({rng.NextInt(0, 5), now, rng.NextBool()});
   }
 
-  WindowJoinOperator join(t_left, t_right, {{0, 0}}, nullptr, Joined());
+  WindowJoinOperator join({t_left, t_right}, kOnId, nullptr, Joined());
   int streamed = 0;
   join.SetSink([&](const Tuple&) { ++streamed; });
   for (const auto& r : rows) {

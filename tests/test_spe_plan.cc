@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "spe/wrapper.h"
 #include "stream/auction_dataset.h"
 #include "stream/sensor_dataset.h"
@@ -176,7 +177,7 @@ TEST_F(PlanTest, NineWayJoinRejected) {
   Catalog c;
   std::string from;
   for (int i = 0; i < 9; ++i) {
-    std::string name = "t" + std::to_string(i);
+    std::string name = StrFormat("t%d", i);
     (void)c.RegisterStream(std::make_shared<Schema>(
         name, std::vector<AttributeDef>{{"k", ValueType::kInt64}}));
     if (i > 0) from += ", ";
