@@ -188,7 +188,10 @@ void BM_WindowJoin(benchmark::State& state) {
 BENCHMARK(BM_WindowJoin)->Unit(benchmark::kMillisecond);
 
 // Hash-indexed join probing under a resident window of `range(0)` tuples:
-// time per arrival should stay flat as the window grows (O(matches)).
+// time per arrival should stay flat as the window grows (O(matches)). Both
+// windows are unbounded, so the right buffer grows by one tuple per
+// iteration; storing each arrival (a copy plus an index node) is part of
+// the measured cost.
 void BM_WindowJoinProbe(benchmark::State& state) {
   const int64_t resident = state.range(0);
   auto left = std::make_shared<Schema>(
@@ -210,9 +213,6 @@ void BM_WindowJoinProbe(benchmark::State& state) {
     join.Push(1, Tuple(right, {Value(key % resident)}, ts));
     ++ts;
     ++key;
-    state.PauseTiming();
-    // Keep the right buffer from growing unboundedly across iterations.
-    state.ResumeTiming();
   }
 }
 BENCHMARK(BM_WindowJoinProbe)->Arg(100)->Arg(1000)->Arg(10000);
@@ -306,9 +306,12 @@ void BM_CounterHotPath(benchmark::State& state) {
 BENCHMARK(BM_CounterHotPath);
 
 // A 100-node CBN with 50 range subscriptions, publishing one matching
-// sensor datagram per iteration (same shape as BM_CbnPublish).
+// sensor datagram per iteration (same shape as BM_CbnPublish). `metrics`
+// (nullptr: none) is attached before the subscriptions are counted.
 struct TelemetryForwardFixture {
-  TelemetryForwardFixture() : network(MakeTree()) {
+  explicit TelemetryForwardFixture(MetricsRegistry* metrics = nullptr)
+      : network(MakeTree()) {
+    network.SetTelemetry(metrics, nullptr);
     SensorDataset sensors;
     schema = sensors.SchemaOf(0);
     Rng rng(3);
@@ -354,9 +357,8 @@ void BM_ForwardWithoutTelemetry(benchmark::State& state) {
 BENCHMARK(BM_ForwardWithoutTelemetry);
 
 void BM_ForwardWithTelemetry(benchmark::State& state) {
-  TelemetryForwardFixture fix;
   MetricsRegistry registry;
-  fix.network.SetTelemetry(&registry, nullptr);
+  TelemetryForwardFixture fix(&registry);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fix.network.Publish(0, fix.d));
   }
@@ -483,22 +485,59 @@ BENCHMARK(BM_RoutingForwardLinear)->Arg(100)->Arg(1000)->Arg(10000);
 // All range(0) profiles subscribe to the same stream — the shape the
 // stream-partitioned index cannot help with — mixing point equalities on a
 // discrete station id with narrow temperature ranges. BM_MatchCompiled is
-// the real Router::DecideForward with the compiled counting matcher (the
-// default); BM_MatchInterpreted flips the same router to the per-profile
-// interpreted walk, so one run yields the >=3x ratio tools/check_bench.py
-// gates at 10^4 profiles. The constructor runs a short warm-up so steady
-// state measures matching, not the one-off bucket compile (that tradeoff
-// is charged to the first datagram after any subscription churn).
+// the real Router::DecideForward with the compiled counting matcher;
+// BM_MatchInterpreted runs InterpretedForward over the same bucket, so one
+// run yields the >=3x ratio tools/check_bench.py gates at 10^4 profiles.
+// The constructor runs a short warm-up so steady state measures matching,
+// not the one-off bucket compile (that tradeoff is charged to the first
+// datagram after any subscription churn).
+
+// The interpreted reference decision: a Profile::Covers walk over the
+// (link, stream) bucket into a reused scratch vector, then the same
+// projection union as Router::DecideForward (the bucket's cached union when
+// every slot matched, else a sorted merge of the matching slots').
+struct InterpretedForward {
+  std::vector<const RoutingTable::BucketSlot*> matched;
+  std::vector<std::string> attrs;
+
+  std::optional<Datagram> operator()(const RoutingTable& table,
+                                     const Datagram& d, NodeId link,
+                                     ProjectionCache& cache) {
+    const RoutingTable::StreamBucket* bucket = table.BucketFor(link, d.stream);
+    if (bucket == nullptr) return std::nullopt;
+    matched.clear();
+    for (const auto& slot : bucket->slots()) {
+      if (slot.profile->Covers(d)) matched.push_back(&slot);
+    }
+    if (matched.empty()) return std::nullopt;
+    if (matched.size() == bucket->slots().size()) {
+      bool wants_all = false;
+      const std::vector<std::string>& needed =
+          bucket->UnionRequired(&wants_all);
+      if (wants_all) return d;
+      return cache.Project(d, needed);
+    }
+    attrs.clear();
+    for (const RoutingTable::BucketSlot* slot : matched) {
+      if (slot->required.empty()) return d;  // wants all attributes
+      for (const auto& attr : slot->required) {
+        auto pos = std::lower_bound(attrs.begin(), attrs.end(), attr);
+        if (pos == attrs.end() || *pos != attr) attrs.insert(pos, attr);
+      }
+    }
+    return cache.Project(d, attrs);
+  }
+};
 
 struct MatchBucketFixture {
   static constexpr NodeId kLink = 1;
 
   Router router{0};
   ProjectionCache cache;
+  InterpretedForward interpreted;
   std::vector<Datagram> datagrams;
 
   MatchBucketFixture(size_t num_profiles, bool compiled) {
-    router.set_compiled_matching(compiled);
     Rng rng(7);
     auto schema = std::make_shared<Schema>(
         "sensor",
@@ -532,8 +571,10 @@ struct MatchBucketFixture {
                          static_cast<Timestamp>(i))});
     }
     for (size_t i = 0; i < 8; ++i) {
-      auto out = router.DecideForward(datagrams[i], kLink,
-                                      /*early_projection=*/true, cache);
+      auto out = compiled
+                     ? router.DecideForward(datagrams[i], kLink,
+                                            /*early_projection=*/true, cache)
+                     : interpreted(router.table(), datagrams[i], kLink, cache);
       benchmark::DoNotOptimize(out);
     }
   }
@@ -561,9 +602,8 @@ void BM_MatchInterpreted(benchmark::State& state) {
   size_t i = 0;
   const uint64_t allocs_before = g_allocation_count.load();
   for (auto _ : state) {
-    auto out = fix.router.DecideForward(fix.datagrams[i & 511],
-                                        MatchBucketFixture::kLink,
-                                        /*early_projection=*/true, fix.cache);
+    auto out = fix.interpreted(fix.router.table(), fix.datagrams[i & 511],
+                               MatchBucketFixture::kLink, fix.cache);
     benchmark::DoNotOptimize(out);
     ++i;
   }

@@ -75,7 +75,7 @@ Result<Datagram> DecodeDatagram(const std::vector<uint8_t>& bytes);
 //
 // Subscription profiles are the control-plane payload of the CBN: a real
 // deployment propagates exactly these bytes hop-by-hop (the in-process
-// network shares Profile objects, but control_messages_ accounting and the
+// network shares Profile objects, but control-message accounting and the
 // DST codec fuzzing are calibrated against this format).
 //
 // Layout (little-endian):

@@ -10,47 +10,17 @@
 
 namespace cosmos {
 
-const char* TraceEventKindToString(TraceEvent::Kind kind) {
-  switch (kind) {
-    case TraceEvent::Kind::kPublish:
-      return "publish";
-    case TraceEvent::Kind::kForward:
-      return "forward";
-    case TraceEvent::Kind::kDeliver:
-      return "deliver";
-    case TraceEvent::Kind::kBuffer:
-      return "buffer";
-    case TraceEvent::Kind::kDrop:
-      return "drop";
-    case TraceEvent::Kind::kRecover:
-      return "recover";
-  }
-  return "?";
-}
-
-void ContentBasedNetwork::Trace(TraceEvent::Kind kind, NodeId node,
-                                NodeId peer, size_t count,
-                                const Datagram& d) const {
-  if (!trace_sink_) return;
-  TraceEvent ev;
-  ev.kind = kind;
-  ev.node = node;
-  ev.peer = peer;
-  ev.count = count;
-  ev.stream = d.stream;
-  ev.timestamp = d.tuple.timestamp();
-  trace_sink_(ev);
-}
-
 ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
                                          NetworkOptions options,
                                          Simulator* sim)
-    : tree_(std::move(tree)), options_(options), sim_(sim) {
+    : tree_(std::move(tree)),
+      options_(options),
+      sim_(sim),
+      owned_metrics_(std::make_unique<MetricsRegistry>()),
+      metrics_(owned_metrics_.get()) {
   routers_.reserve(tree_.num_nodes());
-  for (NodeId i = 0; i < tree_.num_nodes(); ++i) {
-    routers_.emplace_back(i);
-    routers_.back().set_compiled_matching(options_.compiled_matching);
-  }
+  for (NodeId i = 0; i < tree_.num_nodes(); ++i) routers_.emplace_back(i);
+  BindLedger();
 }
 
 const std::set<NodeId>* ContentBasedNetwork::PublishersOf(
@@ -61,21 +31,24 @@ const std::set<NodeId>* ContentBasedNetwork::PublishersOf(
 
 void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
                                        Tracer* tracer) {
-  metrics_ = metrics;
+  // Every count but control messages starts with a publish; a count made
+  // before the move would stay behind in the old registry.
+  uint64_t counted = control_messages();
+  for (const auto& [stream, sc] : stream_counters_) {
+    counted += sc.published->value();
+  }
+  COSMOS_CHECK_EQ(counted, 0u)
+      << "SetTelemetry after the network counted traffic";
+  attached_metrics_ = metrics;
+  metrics_ = metrics != nullptr ? metrics : owned_metrics_.get();
   tracer_ = tracer;
+  for (auto& r : routers_) r.SetTelemetry(attached_metrics_);
+  BindLedger();
+}
+
+void ContentBasedNetwork::BindLedger() {
   stream_counters_.clear();
   link_counters_.clear();
-  for (auto& r : routers_) r.SetTelemetry(metrics_);
-  if (metrics_ == nullptr) {
-    forwards_counter_ = nullptr;
-    forwarded_bytes_counter_ = nullptr;
-    recovery_forwards_counter_ = nullptr;
-    deliveries_counter_ = nullptr;
-    matches_counter_ = nullptr;
-    control_counter_ = nullptr;
-    datagram_bytes_hist_ = nullptr;
-    return;
-  }
   forwards_counter_ = metrics_->GetCounter("cbn.forwards");
   forwarded_bytes_counter_ = metrics_->GetCounter("cbn.forwarded_bytes");
   recovery_forwards_counter_ = metrics_->GetCounter("cbn.recovery_forwards");
@@ -105,9 +78,15 @@ ContentBasedNetwork::StreamCounters* ContentBasedNetwork::StreamMetrics(
   return &stream_counters_.emplace(stream, sc).first->second;
 }
 
-void ContentBasedNetwork::CountControl() {
-  ++control_messages_;
-  if (control_counter_ != nullptr) control_counter_->Increment();
+void ContentBasedNetwork::TraceInstant(const char* name, NodeId node,
+                                       NodeId peer, size_t count,
+                                       const Datagram& d) {
+  std::vector<std::pair<std::string, std::string>> args = {
+      {"stream", Tracer::ArgString(d.stream)},
+      {"ts", std::to_string(d.tuple.timestamp())}};
+  if (peer >= 0) args.emplace_back("peer", std::to_string(peer));
+  if (count > 0) args.emplace_back("count", std::to_string(count));
+  tracer_->Instant("cbn", name, node, std::move(args));
 }
 
 void ContentBasedNetwork::ForEachSubscription(
@@ -167,7 +146,7 @@ void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
     RoutingTable& table = routers_[node].table();
     if (!table.Contains(toward, id)) {
       table.Add(toward, id, profile);
-      CountControl();
+      control_counter_->Increment();
     }
   }
 }
@@ -200,7 +179,7 @@ void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
   std::queue<Hop> q;
   for (const auto& [n, w] : tree_.Neighbors(subscriber)) {
     q.push(Hop{n, subscriber});
-    CountControl();
+    control_counter_->Increment();
   }
   while (!q.empty()) {
     Hop h = q.front();
@@ -209,7 +188,7 @@ void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
     bool covered = false;
     if (options_.covering_prune) {
       for (const auto& e : table.EntriesFor(h.prev)) {
-        if (e.id != id && ProfileCovers(*e.profile, *profile)) {
+        if (e.id < id && ProfileCovers(*e.profile, *profile)) {
           covered = true;
           break;
         }
@@ -220,7 +199,7 @@ void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
     for (const auto& [n, w] : tree_.Neighbors(h.node)) {
       if (n == h.prev) continue;
       q.push(Hop{n, h.node});
-      CountControl();
+      control_counter_->Increment();
     }
   }
 }
@@ -261,31 +240,23 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
 void ContentBasedNetwork::AccountLink(NodeId u, NodeId v, const Datagram& d,
                                       StreamCounters* sc) {
   size_t size = d.SerializedSize();
-  LinkStats& stats = link_stats_[DisseminationTree::EdgeKey(u, v)];
-  ++stats.datagrams;
-  stats.bytes += size;
-  total_bytes_ += size;
-  ++total_forwards_;
-  if (metrics_ != nullptr) {
-    forwards_counter_->Increment();
-    forwarded_bytes_counter_->Add(size);
-    datagram_bytes_hist_->Observe(size);
-    sc->forwarded->Increment();
-    sc->forwarded_bytes->Add(size);
-    auto key = DisseminationTree::EdgeKey(u, v);
-    auto it = link_counters_.find(key);
-    if (it == link_counters_.end()) {
-      std::string label =
-          StrFormat("%d-%d", static_cast<int>(key.first),
-                    static_cast<int>(key.second));
-      LinkCounters lc;
-      lc.datagrams = metrics_->GetCounter("cbn.link_datagrams", "link", label);
-      lc.bytes = metrics_->GetCounter("cbn.link_bytes", "link", label);
-      it = link_counters_.emplace(key, lc).first;
-    }
-    it->second.datagrams->Increment();
-    it->second.bytes->Add(size);
+  forwards_counter_->Increment();
+  forwarded_bytes_counter_->Add(size);
+  datagram_bytes_hist_->Observe(size);
+  sc->forwarded->Increment();
+  sc->forwarded_bytes->Add(size);
+  auto key = DisseminationTree::EdgeKey(u, v);
+  auto it = link_counters_.find(key);
+  if (it == link_counters_.end()) {
+    std::string label = StrFormat("%d-%d", static_cast<int>(key.first),
+                                  static_cast<int>(key.second));
+    LinkCounters lc;
+    lc.datagrams = metrics_->GetCounter("cbn.link_datagrams", "link", label);
+    lc.bytes = metrics_->GetCounter("cbn.link_bytes", "link", label);
+    it = link_counters_.emplace(key, lc).first;
   }
+  it->second.datagrams->Increment();
+  it->second.bytes->Add(size);
 }
 
 std::vector<bool> ContentBasedNetwork::ComponentBeyondEdge(
@@ -314,7 +285,7 @@ std::vector<bool> ContentBasedNetwork::ComponentBeyondEdge(
 }
 
 size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
-                                    const Datagram& d,
+                                    const Datagram& d, StreamCounters* sc,
                                     const std::vector<bool>* allowed) {
   // `allowed` marks the nodes that have NOT yet seen this datagram (a
   // post-repair flush into the side a failed link cut off). It restricts
@@ -322,24 +293,16 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
   // rebuild) the surviving route to an unserved subscriber may pass through
   // already-served nodes, so a forwarding restriction would strand the
   // datagram. Served nodes merely relay; only unserved ones deliver.
-  StreamCounters* sc = metrics_ == nullptr ? nullptr : StreamMetrics(d.stream);
+  const bool traced = tracer_ != nullptr && tracer_->enabled();
   size_t delivered = 0;
   if (allowed == nullptr || (*allowed)[node]) {
     delivered = routers_[node].DeliverLocal(d, projection_cache_);
-    total_deliveries_ += delivered;
     if (delivered > 0) {
-      Trace(TraceEvent::Kind::kDeliver, node, from, delivered, d);
-      if (sc != nullptr) {
-        deliveries_counter_->Add(delivered);
-        // Recovered datagrams are charged to recovery, never steady state.
-        (allowed == nullptr ? sc->delivered : sc->delivered_recovery)
-            ->Add(delivered);
-      }
-      if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->Instant("cbn", "deliver", node,
-                         {{"stream", Tracer::ArgString(d.stream)},
-                          {"count", std::to_string(delivered)}});
-      }
+      deliveries_counter_->Add(delivered);
+      // Recovered datagrams are charged to recovery, never steady state.
+      (allowed == nullptr ? sc->delivered : sc->delivered_recovery)
+          ->Add(delivered);
+      if (traced) TraceInstant("deliver", node, from, delivered, d);
     }
   }
 
@@ -348,27 +311,18 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
     std::optional<Datagram> out = routers_[node].DecideForward(
         d, neighbor, options_.early_projection, projection_cache_);
     if (!out.has_value()) continue;
-    if (sc != nullptr) matches_counter_->Increment();
+    matches_counter_->Increment();
     if (LinkFailed(node, neighbor)) {
       if (options_.buffer_on_failure) {
         // Hold a copy for the cut-off side; it resumes after Repair()
         // delivering exactly there, so nobody sees it twice.
         buffered_.push_back(Buffered{
             neighbor, ComponentBeyondEdge(neighbor, node), *out});
-        Trace(TraceEvent::Kind::kBuffer, node, neighbor, 0, *out);
-        if (sc != nullptr) sc->buffered->Increment();
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Instant("cbn", "buffer", node,
-                           {{"stream", Tracer::ArgString(out->stream)}});
-        }
+        sc->buffered->Increment();
+        if (traced) TraceInstant("buffer", node, neighbor, 0, *out);
       } else {
-        ++lost_datagrams_;
-        Trace(TraceEvent::Kind::kDrop, node, neighbor, 0, *out);
-        if (sc != nullptr) sc->dropped->Increment();
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Instant("cbn", "drop", node,
-                           {{"stream", Tracer::ArgString(out->stream)}});
-        }
+        sc->dropped->Increment();
+        if (traced) TraceInstant("drop", node, neighbor, 0, *out);
       }
       continue;
     }
@@ -376,21 +330,20 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
       // Flush retransmissions travel over the recovery channel and are not
       // charged to the per-link byte counters.
       AccountLink(node, neighbor, *out, sc);
-    } else if (sc != nullptr) {
+    } else {
       recovery_forwards_counter_->Increment();
     }
-    Trace(TraceEvent::Kind::kForward, node, neighbor, 0, *out);
-    if (tracer_ != nullptr && tracer_->enabled()) {
+    if (traced) {
       // One slice on the receiving node's row, as long as the link delay.
       Duration dur = static_cast<Duration>(weight * kMillisecond);
       tracer_->Complete("cbn", "hop", neighbor, tracer_->Now(), dur,
                         {{"stream", Tracer::ArgString(out->stream)},
-                         {"from", std::to_string(node)}});
+                         {"ts", std::to_string(out->tuple.timestamp())},
+                         {"peer", std::to_string(node)}});
     }
     if (sim_ != nullptr) {
       // Link weight is the delay in milliseconds.
       Duration delay = static_cast<Duration>(weight * kMillisecond);
-      Datagram copy = *out;
       NodeId next = neighbor;
       NodeId prev = node;
       // The component restriction must ride along with the scheduled hop
@@ -400,11 +353,12 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
       if (allowed != nullptr) {
         allowed_copy = std::make_shared<const std::vector<bool>>(*allowed);
       }
-      sim_->Schedule(delay, [this, next, prev, copy, allowed_copy]() {
-        Process(next, prev, copy, allowed_copy.get());
+      sim_->Schedule(delay, [this, next, prev, sc, copy = std::move(*out),
+                             allowed_copy]() {
+        Process(next, prev, copy, sc, allowed_copy.get());
       });
     } else {
-      delivered += Process(neighbor, node, *out, allowed);
+      delivered += Process(neighbor, node, *out, sc, allowed);
     }
   }
   return delivered;
@@ -417,18 +371,13 @@ size_t ContentBasedNetwork::Publish(NodeId node, const Datagram& datagram) {
     COSMOS_CHECK(publishers != nullptr && publishers->count(node) > 0)
         << "node " << node << " advertises a stream it never registered";
   }
-  Trace(TraceEvent::Kind::kPublish, node, -1, 0, datagram);
-  published_bytes_by_stream_[datagram.stream] += datagram.SerializedSize();
-  if (metrics_ != nullptr) {
-    StreamCounters* sc = StreamMetrics(datagram.stream);
-    sc->published->Increment();
-    sc->published_bytes->Add(datagram.SerializedSize());
-  }
+  StreamCounters* sc = StreamMetrics(datagram.stream);
+  sc->published->Increment();
+  sc->published_bytes->Add(datagram.SerializedSize());
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant("cbn", "publish", node,
-                     {{"stream", Tracer::ArgString(datagram.stream)}});
+    TraceInstant("publish", node, -1, 0, datagram);
   }
-  return Process(node, /*from=*/-1, datagram);
+  return Process(node, /*from=*/-1, datagram, sc);
 }
 
 Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
@@ -441,11 +390,10 @@ Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
 
 void ContentBasedNetwork::ReinstallAllSubscriptions() {
   for (auto& r : routers_) {
-    // A fresh Router drops the matching mode and telemetry handles with the
-    // routing state; re-apply both or rebuilds would silently fall back.
+    // A fresh Router drops its telemetry handles with the routing state;
+    // re-apply them or rebuilds would silently stop counting.
     r = Router(r.id());
-    r.set_compiled_matching(options_.compiled_matching);
-    r.SetTelemetry(metrics_);
+    r.SetTelemetry(attached_metrics_);
   }
   for (const auto& [id, sub] : subscriptions_) {
     routers_[sub.node].AddLocal(id, sub.profile, sub.callback);
@@ -528,36 +476,68 @@ void ContentBasedNetwork::FlushBuffered() {
   std::deque<Buffered> pending = std::move(buffered_);
   buffered_.clear();
   for (auto& b : pending) {
-    Trace(TraceEvent::Kind::kRecover, b.entry, -1, 0, b.datagram);
-    if (metrics_ != nullptr) {
-      StreamMetrics(b.datagram.stream)->flushed->Increment();
-    }
+    StreamCounters* sc = StreamMetrics(b.datagram.stream);
+    sc->flushed->Increment();
     if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("cbn", "recover", b.entry,
-                       {{"stream", Tracer::ArgString(b.datagram.stream)}});
+      TraceInstant("recover", b.entry, -1, 0, b.datagram);
     }
-    Process(b.entry, /*from=*/-1, b.datagram, &b.allowed);
-    ++recovered_datagrams_;
+    Process(b.entry, /*from=*/-1, b.datagram, sc, &b.allowed);
   }
 }
 
 void ContentBasedNetwork::PruneStaleLinkStats() {
   // Keys for edges the repair/rebuild dropped would otherwise be charged
   // forever by WeightedBytes() at the value_or(1.0) fallback weight.
-  for (auto it = link_stats_.begin(); it != link_stats_.end();) {
+  for (auto it = link_counters_.begin(); it != link_counters_.end();) {
     if (!tree_.HasEdge(it->first.first, it->first.second)) {
-      it = link_stats_.erase(it);
+      it->second.datagrams->Reset();
+      it->second.bytes->Reset();
+      it = link_counters_.erase(it);
     } else {
       ++it;
     }
   }
 }
 
+std::map<std::pair<NodeId, NodeId>, LinkStats>
+ContentBasedNetwork::link_stats() const {
+  std::map<std::pair<NodeId, NodeId>, LinkStats> out;
+  for (const auto& [key, lc] : link_counters_) {
+    out[key] = LinkStats{lc.datagrams->value(), lc.bytes->value()};
+  }
+  return out;
+}
+
+std::map<std::string, uint64_t>
+ContentBasedNetwork::published_bytes_by_stream() const {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [stream, sc] : stream_counters_) {
+    out[stream] = sc.published_bytes->value();
+  }
+  return out;
+}
+
+uint64_t ContentBasedNetwork::lost_datagrams() const {
+  uint64_t total = 0;
+  for (const auto& [stream, sc] : stream_counters_) {
+    total += sc.dropped->value();
+  }
+  return total;
+}
+
+uint64_t ContentBasedNetwork::recovered_datagrams() const {
+  uint64_t total = 0;
+  for (const auto& [stream, sc] : stream_counters_) {
+    total += sc.flushed->value();
+  }
+  return total;
+}
+
 double ContentBasedNetwork::WeightedBytes() const {
   double total = 0.0;
-  for (const auto& [key, stats] : link_stats_) {
+  for (const auto& [key, lc] : link_counters_) {
     double w = tree_.EdgeWeight(key.first, key.second).value_or(1.0);
-    total += static_cast<double>(stats.bytes) * w;
+    total += static_cast<double>(lc.bytes->value()) * w;
   }
   return total;
 }
@@ -569,13 +549,24 @@ size_t ContentBasedNetwork::TotalTableEntries() const {
 }
 
 void ContentBasedNetwork::ResetStats() {
-  link_stats_.clear();
-  total_bytes_ = 0;
-  total_forwards_ = 0;
-  total_deliveries_ = 0;
-  control_messages_ = 0;
-  lost_datagrams_ = 0;
-  recovered_datagrams_ = 0;
+  for (Counter* c : {forwards_counter_, forwarded_bytes_counter_,
+                     recovery_forwards_counter_, deliveries_counter_,
+                     matches_counter_, control_counter_}) {
+    c->Reset();
+  }
+  datagram_bytes_hist_->Reset();
+  for (auto& [stream, sc] : stream_counters_) {
+    for (Counter* c : {sc.published, sc.published_bytes, sc.delivered,
+                       sc.delivered_recovery, sc.buffered, sc.flushed,
+                       sc.dropped, sc.forwarded, sc.forwarded_bytes}) {
+      c->Reset();
+    }
+  }
+  for (auto& [key, lc] : link_counters_) {
+    lc.datagrams->Reset();
+    lc.bytes->Reset();
+  }
+  link_counters_.clear();
 }
 
 }  // namespace cosmos

@@ -26,30 +26,6 @@ struct LinkStats {
   uint64_t bytes = 0;
 };
 
-// One observable data-layer event. The DST harness installs a sink to
-// record an event trace it can print alongside a failing seed; the tap
-// costs nothing when unset.
-struct TraceEvent {
-  enum class Kind {
-    kPublish,  // datagram entered the CBN at `node`
-    kForward,  // one hop `node` -> `peer`
-    kDeliver,  // `count` local deliveries at `node`
-    kBuffer,   // held at failed link for the component entered at `peer`
-    kDrop,     // lost at failed link `node` -> `peer` (buffering off)
-    kRecover,  // buffered datagram re-entering at `node` after repair
-  };
-  Kind kind = Kind::kPublish;
-  NodeId node = -1;
-  NodeId peer = -1;
-  size_t count = 0;  // kDeliver only
-  std::string stream;
-  Timestamp timestamp = 0;  // tuple event time
-};
-
-const char* TraceEventKindToString(TraceEvent::Kind kind);
-
-using TraceSink = std::function<void(const TraceEvent&)>;
-
 struct NetworkOptions {
   // Early projection (paper §3.1 extension). Off reproduces a traditional
   // filter-only CBN (ablation abl-proj).
@@ -67,11 +43,6 @@ struct NetworkOptions {
   // Repair() (data-layer high availability, paper §2's fault-tolerance
   // module of the data layer).
   bool buffer_on_failure = true;
-  // Evaluate forwarding/delivery matches with the compiled per-bucket
-  // counting matcher (src/cbn/matcher.h). Off falls back to the
-  // interpreted per-profile walk — the cosmos_dst --interpreted-match
-  // escape hatch; both modes must produce identical deliveries.
-  bool compiled_matching = true;
 };
 
 // The content-based network: routers on every node of a dissemination tree.
@@ -133,45 +104,51 @@ class ContentBasedNetwork {
   Status RebuildTree(DisseminationTree tree);
 
   // ---- statistics ----
-  const std::map<std::pair<NodeId, NodeId>, LinkStats>& link_stats() const {
-    return link_stats_;
+  //
+  // Views over the ledger: the network's registry counters (see
+  // SetTelemetry) are the only record of its traffic.
+  std::map<std::pair<NodeId, NodeId>, LinkStats> link_stats() const;
+  // cbn.forwarded_bytes / cbn.forwards: steady-state link traffic (flush
+  // retransmissions are counted in cbn.recovery_forwards instead).
+  uint64_t total_bytes() const { return forwarded_bytes_counter_->value(); }
+  uint64_t total_datagrams_forwarded() const {
+    return forwards_counter_->value();
   }
-  uint64_t total_bytes() const { return total_bytes_; }
-  uint64_t total_datagrams_forwarded() const { return total_forwards_; }
-  uint64_t total_deliveries() const { return total_deliveries_; }
+  // cbn.deliveries, steady state and recovery.
+  uint64_t total_deliveries() const { return deliveries_counter_->value(); }
   // Sum over links of bytes × link weight (delay-weighted traffic).
   double WeightedBytes() const;
   // Subscription control messages sent during propagation.
-  uint64_t control_messages() const { return control_messages_; }
-  // Datagram forwards dropped at failed links (buffered ones not counted).
-  uint64_t lost_datagrams() const { return lost_datagrams_; }
+  uint64_t control_messages() const { return control_counter_->value(); }
+  // Datagram forwards dropped at failed links (buffered ones not counted):
+  // the sum of cbn.dropped.
+  uint64_t lost_datagrams() const;
   uint64_t buffered_datagrams() const { return buffered_.size(); }
-  // Buffered datagrams delivered into the cut-off component after Repair.
-  uint64_t recovered_datagrams() const { return recovered_datagrams_; }
+  // Buffered datagrams delivered into the cut-off component after Repair:
+  // the sum of cbn.flushed.
+  uint64_t recovered_datagrams() const;
   // Sum of routing-table entries across all nodes (memory cost of
   // subscription state; advertisement scoping shrinks it).
   size_t TotalTableEntries() const;
+  // Zeroes every counter of the network's ledger.
   void ResetStats();
 
   const Router& router(NodeId node) const { return routers_[node]; }
   const std::set<NodeId>* PublishersOf(const std::string& stream) const;
 
-  // Installs (or clears, with nullptr) the event-trace tap.
-  void set_trace_sink(TraceSink sink) { trace_sink_ = std::move(sink); }
-
   // ---- telemetry ----
 
-  // Attaches instruments: counters in `metrics` (stream-labeled families
-  // plus per-link and total counts) and Chrome-trace slices for every hop
-  // and delivery in `tracer`. Either may be nullptr (off). Handles are
-  // cached here once, so the steady-state cost per hop is plain adds.
+  // Moves the ledger into `metrics` (nullptr: a registry the network owns)
+  // and records Chrome-trace slices for every hop and delivery in `tracer`
+  // (nullptr: off). Counters are stream-labeled families plus per-link and
+  // total counts; routers get matcher instruments only from an attached
+  // registry. Handles are cached here once, so the steady-state cost per
+  // hop is plain adds. Must be called before anything is counted.
   void SetTelemetry(MetricsRegistry* metrics, Tracer* tracer);
 
-  // Cumulative serialized bytes published per stream, maintained even with
-  // telemetry detached — the SelfTuner's measured-rate source.
-  const std::map<std::string, uint64_t>& published_bytes_by_stream() const {
-    return published_bytes_by_stream_;
-  }
+  // Cumulative serialized bytes published per stream (cbn.published_bytes)
+  // — the SelfTuner's measured-rate source.
+  std::map<std::string, uint64_t> published_bytes_by_stream() const;
 
   // Visits every live subscription as (subscriber node, profile).
   void ForEachSubscription(
@@ -193,13 +170,6 @@ class ContentBasedNetwork {
   // Nodes allowed to carry entries for this subscription; nullopt = all.
   std::optional<std::set<NodeId>> ScopeOf(NodeId subscriber,
                                           const Profile& profile) const;
-  // Processes `d` at `node` arriving from `from` (-1 = published locally).
-  // When `allowed` is non-null, *delivery* is restricted to nodes with
-  // allowed[v] == true (post-repair flushing into the side a failed link
-  // cut off); forwarding is unrestricted so the flush can route through
-  // already-served nodes when the repaired tree demands it.
-  size_t Process(NodeId node, NodeId from, const Datagram& d,
-                 const std::vector<bool>* allowed = nullptr);
   // Cached handles of the stream-labeled counter families. Created lazily
   // on the first datagram of each stream, then plain pointer adds.
   struct StreamCounters {
@@ -218,16 +188,28 @@ class ContentBasedNetwork {
     Counter* datagrams = nullptr;
     Counter* bytes = nullptr;
   };
-  // Counts one subscription control message (and its telemetry counter).
-  void CountControl();
+  // Processes `d` at `node` arriving from `from` (-1 = published locally);
+  // `sc` is the stream's counters, looked up once per publish or flush.
+  // When `allowed` is non-null, *delivery* is restricted to nodes with
+  // allowed[v] == true (post-repair flushing into the side a failed link
+  // cut off); forwarding is unrestricted so the flush can route through
+  // already-served nodes when the repaired tree demands it.
+  size_t Process(NodeId node, NodeId from, const Datagram& d,
+                 StreamCounters* sc,
+                 const std::vector<bool>* allowed = nullptr);
+  // Resolves the total-count handles in metrics_ and forgets the per-stream
+  // and per-link ones (re-created on first use).
+  void BindLedger();
+  // Records a CBN instant on `node`'s row of the Chrome trace: the stream,
+  // the tuple's event time, and `peer` (-1: none) and `count` when set.
+  void TraceInstant(const char* name, NodeId node, NodeId peer, size_t count,
+                    const Datagram& d);
   // Membership of `start`'s side of the tree edge (blocked_from, start) —
   // the nodes a datagram stopped at that edge has not reached.
   std::vector<bool> ComponentBeyondEdge(NodeId start,
                                         NodeId blocked_from) const;
   void AccountLink(NodeId u, NodeId v, const Datagram& d,
                    StreamCounters* sc);
-  void Trace(TraceEvent::Kind kind, NodeId node, NodeId peer, size_t count,
-             const Datagram& d) const;
   bool LinkFailed(NodeId u, NodeId v) const {
     return failed_links_.count(DisseminationTree::EdgeKey(u, v)) > 0;
   }
@@ -237,15 +219,14 @@ class ContentBasedNetwork {
   // and counts it recovered. Called after Repair()/RebuildTree() restored
   // a connected tree.
   void FlushBuffered();
-  // Drops link_stats_ entries for edges no longer in tree_ (repair/rebuild
-  // replaced them), so WeightedBytes() never charges stale keys at the
-  // fallback weight.
+  // Zeroes and forgets the counters of links no longer in tree_
+  // (repair/rebuild replaced them), so WeightedBytes() never charges stale
+  // keys at the fallback weight and a returning link restarts at zero.
   void PruneStaleLinkStats();
 
   DisseminationTree tree_;
   NetworkOptions options_;
   Simulator* sim_;
-  TraceSink trace_sink_;
   std::vector<Router> routers_;
   ProjectionCache projection_cache_;
   ProfileId next_profile_id_ = 1;
@@ -262,7 +243,12 @@ class ContentBasedNetwork {
   };
   std::deque<Buffered> buffered_;
 
+  // The ledger lives in metrics_: the attached registry, else owned_metrics_.
+  // Routers get only the attached one (attached_metrics_), so their sampled
+  // match timing stays off when nothing is attached.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
+  MetricsRegistry* attached_metrics_ = nullptr;
   Tracer* tracer_ = nullptr;
   std::map<std::string, StreamCounters> stream_counters_;
   std::map<std::pair<NodeId, NodeId>, LinkCounters> link_counters_;
@@ -273,15 +259,6 @@ class ContentBasedNetwork {
   Counter* matches_counter_ = nullptr;
   Counter* control_counter_ = nullptr;
   Histogram* datagram_bytes_hist_ = nullptr;
-  std::map<std::string, uint64_t> published_bytes_by_stream_;
-
-  std::map<std::pair<NodeId, NodeId>, LinkStats> link_stats_;
-  uint64_t total_bytes_ = 0;
-  uint64_t total_forwards_ = 0;
-  uint64_t total_deliveries_ = 0;
-  uint64_t control_messages_ = 0;
-  uint64_t lost_datagrams_ = 0;
-  uint64_t recovered_datagrams_ = 0;
 };
 
 }  // namespace cosmos

@@ -68,11 +68,6 @@ void Router::ReindexLocals() {
   local_matchers_.clear();
 }
 
-void Router::set_compiled_matching(bool enabled) {
-  compiled_matching_ = enabled;
-  local_matchers_.clear();
-}
-
 void Router::SetTelemetry(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     matcher_compiles_ = nullptr;
@@ -133,53 +128,39 @@ bool Router::RemoveLocal(ProfileId id) {
 size_t Router::DeliverLocal(const Datagram& d, ProjectionCache& cache) {
   auto it = local_by_stream_.find(d.stream);
   if (it == local_by_stream_.end()) return 0;
-  size_t delivered = 0;
-  if (compiled_matching_) {
-    const CompiledMatcher& m = LocalMatcher(d.stream, it->second);
-    // Take the reusable hit buffer for the duration of the callbacks: a
-    // callback that publishes re-enters this router and must not clobber
-    // the list being delivered (it finds the member empty and regrows).
-    std::vector<uint32_t> hits;
-    std::swap(hits, local_hit_scratch_);
-    MatchCompiled(m, d, &hits);
+  const CompiledMatcher& m = LocalMatcher(d.stream, it->second);
+  // Take the reusable hit buffer for the duration of the callbacks: a
+  // callback that publishes re-enters this router and must not clobber
+  // the list being delivered (it finds the member empty and regrows).
+  std::vector<uint32_t> hits;
+  std::swap(hits, local_hit_scratch_);
+  MatchCompiled(m, d, &hits);
 #ifndef NDEBUG
-    {
-      // Compiled output must equal the interpreted walk, slot by slot.
-      size_t k = 0;
-      for (size_t j = 0; j < it->second.size(); ++j) {
-        const bool interpreted = local_profiles_[it->second[j]].second->Covers(d);
-        const bool compiled = k < hits.size() && hits[k] == j;
-        COSMOS_DCHECK_EQ(compiled, interpreted)
-            << "compiled/interpreted divergence for local subscriber "
-            << local_profiles_[it->second[j]].first << " on " << d.stream;
-        if (compiled) ++k;
-      }
+  {
+    // Compiled output must equal the interpreted walk, slot by slot.
+    size_t k = 0;
+    for (size_t j = 0; j < it->second.size(); ++j) {
+      const bool interpreted = local_profiles_[it->second[j]].second->Covers(d);
+      const bool compiled = k < hits.size() && hits[k] == j;
+      COSMOS_DCHECK_EQ(compiled, interpreted)
+          << "compiled/interpreted divergence for local subscriber "
+          << local_profiles_[it->second[j]].first << " on " << d.stream;
+      if (compiled) ++k;
     }
-#endif
-    for (uint32_t h : hits) {
-      const size_t i = it->second[h];
-      const Profile& p = *local_profiles_[i].second;
-      // Last-hop projection: the subscriber receives exactly P(stream).
-      Datagram out = cache.Project(d, p.ProjectionOf(d.stream));
-      if (local_callbacks_[i]) {
-        local_callbacks_[i](out.stream, out.tuple);
-      }
-      ++delivered;
-    }
-    hits.clear();
-    std::swap(hits, local_hit_scratch_);
-    return delivered;
   }
-  for (size_t i : it->second) {
+#endif
+  for (uint32_t h : hits) {
+    const size_t i = it->second[h];
     const Profile& p = *local_profiles_[i].second;
-    if (!p.Covers(d)) continue;
     // Last-hop projection: the subscriber receives exactly P(stream).
     Datagram out = cache.Project(d, p.ProjectionOf(d.stream));
     if (local_callbacks_[i]) {
       local_callbacks_[i](out.stream, out.tuple);
     }
-    ++delivered;
   }
+  const size_t delivered = hits.size();
+  hits.clear();
+  std::swap(hits, local_hit_scratch_);
   return delivered;
 }
 
@@ -190,34 +171,27 @@ std::optional<Datagram> Router::DecideForward(const Datagram& d, NodeId link,
   if (bucket == nullptr) return std::nullopt;
   match_scratch_.clear();
   const std::vector<RoutingTable::BucketSlot>& slots = bucket->slots();
-  if (compiled_matching_) {
-    const bool was_compiled = bucket->has_compiled();
-    const CompiledMatcher& m = bucket->Compiled(d.stream);
-    if (!was_compiled && matcher_compiles_ != nullptr) {
-      matcher_compiles_->Increment();
-    }
-    MatchCompiled(m, d, &hit_scratch_);
+  const bool was_compiled = bucket->has_compiled();
+  const CompiledMatcher& m = bucket->Compiled(d.stream);
+  if (!was_compiled && matcher_compiles_ != nullptr) {
+    matcher_compiles_->Increment();
+  }
+  MatchCompiled(m, d, &hit_scratch_);
 #ifndef NDEBUG
-    {
-      // Compiled output must equal the interpreted walk, slot by slot.
-      size_t k = 0;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        const bool interpreted = slots[i].profile->Covers(d);
-        const bool compiled =
-            k < hit_scratch_.size() && hit_scratch_[k] == i;
-        COSMOS_DCHECK_EQ(compiled, interpreted)
-            << "compiled/interpreted divergence at slot " << i << " (entry "
-            << slots[i].id << ") on stream " << d.stream;
-        if (compiled) ++k;
-      }
-    }
-#endif
-    for (uint32_t h : hit_scratch_) match_scratch_.push_back(&slots[h]);
-  } else {
-    for (const auto& slot : slots) {
-      if (slot.profile->Covers(d)) match_scratch_.push_back(&slot);
+  {
+    // Compiled output must equal the interpreted walk, slot by slot.
+    size_t k = 0;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const bool interpreted = slots[i].profile->Covers(d);
+      const bool compiled = k < hit_scratch_.size() && hit_scratch_[k] == i;
+      COSMOS_DCHECK_EQ(compiled, interpreted)
+          << "compiled/interpreted divergence at slot " << i << " (entry "
+          << slots[i].id << ") on stream " << d.stream;
+      if (compiled) ++k;
     }
   }
+#endif
+  for (uint32_t h : hit_scratch_) match_scratch_.push_back(&slots[h]);
   if (match_scratch_.empty()) return std::nullopt;
   if (!early_projection) return d;
 

@@ -89,14 +89,6 @@ class Router {
                                         bool early_projection,
                                         ProjectionCache& cache) const;
 
-  // Toggles the compiled counting matcher on the hot paths (DecideForward
-  // and DeliverLocal). On by default; off falls back to the interpreted
-  // per-profile Profile::Covers walk (the --interpreted-match escape
-  // hatch). In debug builds the compiled path cross-checks the interpreted
-  // one on every decision. Toggling drops cached local matchers.
-  void set_compiled_matching(bool enabled);
-  bool compiled_matching() const { return compiled_matching_; }
-
   // Attaches (nullptr: detaches) matcher instruments in `metrics`:
   // cbn.matcher_compiles (bucket/local compilations), cbn.matcher_fallbacks
   // (residual evaluations behind the counting stage) and cbn.match_ns.
@@ -128,7 +120,6 @@ class Router {
   // stream -> compiled matcher over its local_by_stream_ entry.
   std::unordered_map<std::string, std::unique_ptr<CompiledMatcher>>
       local_matchers_;
-  bool compiled_matching_ = true;
   Counter* matcher_compiles_ = nullptr;
   Counter* matcher_fallbacks_ = nullptr;
   Histogram* match_time_ns_ = nullptr;

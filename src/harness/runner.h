@@ -10,23 +10,16 @@
 namespace cosmos {
 
 struct DstRunOptions {
-  // Record the CBN event trace (ring buffer of the last `trace_limit`
-  // formatted events) into DstReport::trace — used when re-running a
-  // minimized failing scenario for the report.
+  // Record the run with a Tracer: the whole run as Chrome trace_event JSON
+  // into DstReport::chrome_trace_json (load it in chrome://tracing or
+  // Perfetto), and its last `trace_limit` CBN events, one formatted line
+  // each, into DstReport::trace. Costly — meant for re-runs of failing
+  // seeds.
   bool capture_trace = false;
   size_t trace_limit = 200;
-  // Record the whole run as Chrome trace_event JSON into
-  // DstReport::chrome_trace_json (load it in chrome://tracing or Perfetto).
-  // Costly — meant for re-runs of failing seeds.
-  bool capture_chrome_trace = false;
   // Export the final telemetry snapshot as JSON into
   // DstReport::metrics_json.
   bool capture_metrics_json = false;
-  // Run the CBN with the interpreted per-profile matching walk instead of
-  // the compiled counting matcher (the cosmos_dst --interpreted-match
-  // escape hatch). Deliveries must be identical in both modes; the nightly
-  // sweep runs a seed slice in each and diffs them.
-  bool interpreted_match = false;
 };
 
 // Outcome of one scenario execution.
@@ -46,8 +39,8 @@ struct DstReport {
   uint64_t lost_datagrams = 0;
   size_t final_groups = 0;
 
-  std::vector<std::string> trace;  // only with DstRunOptions::capture_trace
   // Only with the corresponding DstRunOptions capture flag.
+  std::vector<std::string> trace;
   std::string chrome_trace_json;
   std::string metrics_json;
 
@@ -65,15 +58,12 @@ struct DstReport {
 //      results, re-presented through the member's own presentation path;
 //   4. data-layer accounting: nothing lost, nothing left buffered, no
 //      pending simulator events;
-//   5. telemetry conservation: the run's isolated MetricsRegistry must
-//      agree with the network's own accounting — per-stream published
-//      counters match the injection counts, nothing dropped, every
-//      buffered datagram flushed, steady-state forward counters match the
-//      link stats (recovered datagrams are charged to recovery, never to
-//      steady-state link traffic), deliveries balance, and the matching
-//      engine behaves: cbn.matcher_fallbacks only increments when a
-//      residual-bearing profile was installed, and an interpreted-match
-//      run compiles nothing and falls back never.
+//   5. telemetry conservation: the network's ledger (the run's isolated
+//      MetricsRegistry) must agree with what lies outside it or with its
+//      own distinct events — per-stream published counters match the
+//      harness's injection counts, every buffered datagram is flushed, and
+//      cbn.matcher_fallbacks only increments when a residual-bearing
+//      profile was installed.
 // Deterministic: the same scenario always yields the same report.
 DstReport RunScenario(const DstScenario& scenario,
                       const DstRunOptions& options = {});

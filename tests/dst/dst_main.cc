@@ -34,10 +34,6 @@ struct Flags {
   // Write the Chrome trace of this run to the given file (single-seed use;
   // load the JSON in chrome://tracing or Perfetto).
   std::string trace_out;
-  // Escape hatch: run the CBN with the interpreted per-profile matching
-  // walk instead of the compiled counting matcher. Deliveries must be
-  // identical; the nightly sweep runs a seed slice in each mode and diffs.
-  bool interpreted_match = false;
 };
 
 bool ParseUint64(const char* text, uint64_t* out) {
@@ -75,14 +71,12 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->print_scenario = true;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       flags->trace_out = arg + 12;
-    } else if (std::strcmp(arg, "--interpreted-match") == 0) {
-      flags->interpreted_match = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       std::fprintf(stderr,
                    "usage: cosmos_dst [--seed=N | --begin=N --count=K] "
                    "[--no-shrink] [--shrink-budget=N] [--repro-dir=DIR] "
-                   "[--trace-out=FILE] [--interpreted-match] [--verbose] "
+                   "[--trace-out=FILE] [--verbose] "
                    "[--print-scenario]\n");
       return false;
     }
@@ -141,9 +135,8 @@ int main(int argc, char** argv) {
       std::fputs(scenario.ToString().c_str(), stdout);
     }
     cosmos::DstRunOptions first_run;
-    first_run.interpreted_match = flags.interpreted_match;
     if (!flags.trace_out.empty()) {
-      first_run.capture_chrome_trace = true;
+      first_run.capture_trace = true;
       first_run.capture_metrics_json = true;
     }
     cosmos::DstReport report = cosmos::RunScenario(scenario, first_run);
@@ -169,23 +162,13 @@ int main(int argc, char** argv) {
     cosmos::DstScenario minimized = scenario;
     size_t shrink_runs = 0;
     if (flags.shrink) {
-      // Shrink under the same match mode the failure was found in.
-      cosmos::DstRunOptions shrink_opts;
-      shrink_opts.interpreted_match = flags.interpreted_match;
-      minimized = cosmos::ShrinkScenario(
-          scenario,
-          [&shrink_opts](const cosmos::DstScenario& candidate) {
-            return !cosmos::RunScenario(candidate, shrink_opts).ok;
-          },
-          flags.shrink_budget);
+      minimized = cosmos::ShrinkScenario(scenario, flags.shrink_budget);
       shrink_runs = flags.shrink_budget;
     }
-    // Re-run the minimized form with the CBN trace tap on for the report,
-    // plus the Chrome trace and metrics snapshot for repro artifacts.
+    // Re-run the minimized form traced for the report's CBN trace and the
+    // repro artifacts (Chrome trace, metrics snapshot).
     cosmos::DstRunOptions run_options;
-    run_options.interpreted_match = flags.interpreted_match;
     run_options.capture_trace = true;
-    run_options.capture_chrome_trace = !flags.repro_dir.empty();
     run_options.capture_metrics_json = !flags.repro_dir.empty();
     cosmos::DstReport detailed = cosmos::RunScenario(minimized, run_options);
     // Shrinking preserves *some* failure, not necessarily the same one; if

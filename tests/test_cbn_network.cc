@@ -256,6 +256,36 @@ TEST(Network, UnsubscribingCoveringProfileDoesNotSilenceCoveredOnes) {
                           "covering one unsubscribed";
 }
 
+TEST(Network, MutuallyCoveringProfilesStayServedAcrossRefreshes) {
+  // Regression: propagation stopped at any other entry on the same link
+  // that covered the new profile. Two equal profiles re-propagated after
+  // an unsubscribe then pruned each other at the same node, each under the
+  // other's partial installation, and the publisher side kept no entry for
+  // either. Tree 1 - 0 - 2 - 3, publisher at 3.
+  auto tree = DisseminationTree::FromEdges(
+                  4, {Edge{1, 0, 1.0}, Edge{0, 2, 1.0}, Edge{2, 3, 1.0}})
+                  .value();
+  ContentBasedNetwork net(std::move(tree));
+  Profile narrow;
+  narrow.AddStream("s", {"temp"});
+  Profile wide;
+  wide.AddStream("s", {"temp"});
+  wide.AddStream("t");
+  int hits0 = 0;
+  int hits1 = 0;
+  ProfileId x = net.Subscribe(0, narrow, nullptr);
+  net.Subscribe(1, narrow,
+                [&](const std::string&, const Tuple&) { ++hits1; });
+  ProfileId w = net.Subscribe(0, wide, nullptr);
+  EXPECT_TRUE(net.Unsubscribe(x));
+  net.Subscribe(0, narrow,
+                [&](const std::string&, const Tuple&) { ++hits0; });
+  EXPECT_TRUE(net.Unsubscribe(w));
+  net.Publish(3, MakeDatagram(15, 0));
+  EXPECT_EQ(hits0, 1);
+  EXPECT_EQ(hits1, 1);
+}
+
 TEST(Network, RepeatedRefreshChurnKeepsDelivery) {
   // The processor's source-profile refresh pattern: subscribe the new
   // merged profile, then unsubscribe the old identical one — repeatedly.
@@ -306,6 +336,27 @@ TEST(Network, ResetStatsClearsCounters) {
   EXPECT_EQ(net.total_bytes(), 0u);
   EXPECT_TRUE(net.link_stats().empty());
   EXPECT_EQ(net.total_deliveries(), 0u);
+}
+
+TEST(Network, AttachedRegistryHoldsTheLedger) {
+  MetricsRegistry metrics;
+  ContentBasedNetwork net(StarTree());
+  net.SetTelemetry(&metrics, nullptr);
+  Profile p;
+  p.AddStream("s");
+  net.Subscribe(2, p, nullptr);
+  net.Publish(0, MakeDatagram(1, 1));
+  EXPECT_EQ(metrics.FindCounter("cbn.forwarded_bytes")->value(),
+            net.total_bytes());
+  EXPECT_EQ(metrics.FindCounter("cbn.control_messages")->value(),
+            net.control_messages());
+  EXPECT_EQ(metrics
+                .FindCounter(MetricsRegistry::LabeledName("cbn.link_bytes",
+                                                          "link", "0-1"))
+                ->value(),
+            net.link_stats().at({0, 1}).bytes);
+  // Moving the ledger now would strand what it already counted.
+  EXPECT_DEATH(net.SetTelemetry(nullptr, nullptr), "CHECK failed");
 }
 
 TEST(Network, WeightedBytesUsesEdgeWeights) {

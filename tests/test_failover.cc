@@ -231,6 +231,47 @@ TEST(CbnFailureRecovery, RepairDropsStatsForRemovedLinks) {
   }
 }
 
+TEST(CbnFailureRecovery, FlushIsChargedToRecoveryNotLinkTraffic) {
+  // A Repair() flush travels the recovery channel: the steady-state link
+  // ledger must not move, while its hops and deliveries are counted as
+  // recovery.
+  MetricsRegistry metrics;
+  ContentBasedNetwork net(ChainTree(4));
+  net.SetTelemetry(&metrics, nullptr);
+  int hits3 = 0;
+  net.Subscribe(3, WholeStreamProfile(),
+                [&](const std::string&, const Tuple&) { ++hits3; });
+  ASSERT_TRUE(net.FailLink(1, 2).ok());
+  net.Publish(0, CbnDatagram(1));
+  const uint64_t bytes = net.total_bytes();
+  const auto links = net.link_stats();
+  ASSERT_GT(bytes, 0u);  // 0 -> 1 crossed before the failed link
+
+  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+  EXPECT_EQ(hits3, 1);
+  EXPECT_EQ(net.total_bytes(), bytes);
+  const auto after = net.link_stats();
+  ASSERT_EQ(after.size(), links.size());
+  for (const auto& [key, stats] : links) {
+    ASSERT_EQ(after.count(key), 1u);
+    EXPECT_EQ(after.at(key).datagrams, stats.datagrams);
+    EXPECT_EQ(after.at(key).bytes, stats.bytes);
+  }
+  EXPECT_GT(metrics.FindCounter("cbn.recovery_forwards")->value(), 0u);
+  EXPECT_EQ(metrics
+                .FindCounter(MetricsRegistry::LabeledName(
+                    "cbn.delivered_recovery", "stream", "s"))
+                ->value(),
+            1u);
+  EXPECT_EQ(metrics
+                .FindCounter(MetricsRegistry::LabeledName("cbn.delivered",
+                                                          "stream", "s"))
+                ->value(),
+            0u);
+  EXPECT_EQ(net.total_deliveries(), 1u);
+  EXPECT_EQ(net.recovered_datagrams(), 1u);
+}
+
 // ---- stream-partitioned routing index under churn -------------------------
 
 // Sum over (link, entry) of the entry's stream count: what the per-stream

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -374,18 +376,36 @@ TEST(MatcherFuzz, CompiledEqualsInterpretedAcrossSeeds) {
   }
 }
 
-// Full-router equivalence including the projection union: a compiled and an
-// interpreted router share the same table (same ProfilePtrs) and must
-// produce identical DecideForward results — including the early-projected
-// schema — across Add/Remove/RemoveEverywhere churn.
+// Reference forwarding decision: the interpreted per-profile Covers walk
+// over the (link, stream) bucket, projected to the sorted union of the
+// matching slots' required attributes (any slot wanting all attributes
+// disables projection).
+std::optional<Datagram> ReferenceForward(const RoutingTable& table,
+                                         const Datagram& d, NodeId link,
+                                         ProjectionCache& cache) {
+  const RoutingTable::StreamBucket* bucket = table.BucketFor(link, d.stream);
+  if (bucket == nullptr) return std::nullopt;
+  bool matched = false;
+  std::set<std::string> attrs;
+  for (const auto& slot : bucket->slots()) {
+    if (!slot.profile->Covers(d)) continue;
+    if (slot.required.empty()) return d;
+    matched = true;
+    attrs.insert(slot.required.begin(), slot.required.end());
+  }
+  if (!matched) return std::nullopt;
+  return cache.Project(d, std::vector<std::string>(attrs.begin(), attrs.end()));
+}
+
+// Full-router equivalence including the projection union: the router's
+// DecideForward must equal the reference walk over the same table —
+// including the early-projected schema — across Add/Remove/
+// RemoveEverywhere churn.
 TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
   Rng root(0xFACADE);
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
-    Router compiled(0);
-    Router interpreted(0);
-    interpreted.set_compiled_matching(false);
-    ASSERT_TRUE(compiled.compiled_matching());
+    Router router(0);
     ProjectionCache cache_c, cache_i;
     const NodeId kLink = 1;
     ProfileId next_id = 1;
@@ -395,11 +415,10 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
       for (int k = 0; k < 40; ++k) {
         Datagram d = RandomDatagram(rng);
         std::optional<Datagram> a =
-            compiled.DecideForward(d, kLink, /*early_projection=*/true,
-                                   cache_c);
+            router.DecideForward(d, kLink, /*early_projection=*/true,
+                                 cache_c);
         std::optional<Datagram> b =
-            interpreted.DecideForward(d, kLink, /*early_projection=*/true,
-                                      cache_i);
+            ReferenceForward(router.table(), d, kLink, cache_i);
         ASSERT_EQ(a.has_value(), b.has_value())
             << "trial " << trial << " round " << round;
         if (a.has_value()) {
@@ -414,19 +433,15 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
     for (int round = 0; round < 4; ++round) {
       const size_t adds = rng.NextBounded(12) + 1;
       for (size_t i = 0; i < adds; ++i) {
-        ProfilePtr p = RandomProfile(rng);
-        compiled.table().Add(kLink, next_id, p);
-        interpreted.table().Add(kLink, next_id, p);
+        router.table().Add(kLink, next_id, RandomProfile(rng));
         live.push_back(next_id++);
       }
       if (round > 0 && !live.empty() && rng.NextBool(0.7)) {
         const size_t victim = rng.NextBounded(live.size());
         if (rng.NextBool()) {
-          compiled.table().Remove(kLink, live[victim]);
-          interpreted.table().Remove(kLink, live[victim]);
+          router.table().Remove(kLink, live[victim]);
         } else {
-          compiled.table().RemoveEverywhere(live[victim]);
-          interpreted.table().RemoveEverywhere(live[victim]);
+          router.table().RemoveEverywhere(live[victim]);
         }
         live.erase(live.begin() + static_cast<long>(victim));
       }
@@ -435,34 +450,36 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
   }
 }
 
-// Local-delivery equivalence: same subscribers on a compiled and an
-// interpreted router must fire the same callbacks with the same payloads.
+// Local-delivery equivalence: the router must fire the callbacks of
+// exactly the subscribers whose profiles cover the datagram, in
+// subscription order, each with its last-hop projection.
 TEST(MatcherFuzz, LocalDeliveryEquivalence) {
   Rng root(0x10CA1);
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
-    Router compiled(0);
-    Router interpreted(0);
-    interpreted.set_compiled_matching(false);
+    Router router(0);
     ProjectionCache cache_c, cache_i;
     std::vector<std::string> got_c, got_i;
+    std::vector<ProfilePtr> profiles;
     const size_t n = rng.NextBounded(12) + 1;
     for (size_t i = 0; i < n; ++i) {
-      ProfilePtr p = RandomProfile(rng);
+      profiles.push_back(RandomProfile(rng));
       auto tag = std::to_string(i) + ":";
-      compiled.AddLocal(i + 1, p,
-                        [&got_c, tag](const std::string&, const Tuple& t) {
-                          got_c.push_back(tag + t.ToString());
-                        });
-      interpreted.AddLocal(i + 1, p,
-                           [&got_i, tag](const std::string&, const Tuple& t) {
-                             got_i.push_back(tag + t.ToString());
-                           });
+      router.AddLocal(i + 1, profiles.back(),
+                      [&got_c, tag](const std::string&, const Tuple& t) {
+                        got_c.push_back(tag + t.ToString());
+                      });
     }
     for (int k = 0; k < 60; ++k) {
       Datagram d = RandomDatagram(rng);
-      const size_t dc = compiled.DeliverLocal(d, cache_c);
-      const size_t di = interpreted.DeliverLocal(d, cache_i);
+      const size_t dc = router.DeliverLocal(d, cache_c);
+      size_t di = 0;
+      for (size_t i = 0; i < profiles.size(); ++i) {
+        if (!profiles[i]->Covers(d)) continue;
+        Datagram out = cache_i.Project(d, profiles[i]->ProjectionOf(d.stream));
+        got_i.push_back(std::to_string(i) + ":" + out.tuple.ToString());
+        ++di;
+      }
       ASSERT_EQ(dc, di) << "trial " << trial << " datagram " << k;
     }
     EXPECT_EQ(got_c, got_i);
