@@ -167,35 +167,40 @@ void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
     return;
   }
 
-  // Flood outward from the subscriber. A node reached from neighbor `prev`
-  // (the side the subscriber lies on) installs (prev -> profile) and keeps
-  // flooding unless covering-prune applies: if a profile already installed
-  // on that same link covers the new one, nodes farther out would never
-  // route anything new toward us, so propagation stops.
-  struct Hop {
-    NodeId node;
-    NodeId prev;
-  };
+  // Flood outward from the subscriber.
   std::queue<Hop> q;
   for (const auto& [n, w] : tree_.Neighbors(subscriber)) {
     q.push(Hop{n, subscriber});
     control_counter_->Increment();
   }
+  Flood(id, profile, std::move(q));
+}
+
+void ContentBasedNetwork::Flood(ProfileId id, const ProfilePtr& profile,
+                                std::queue<Hop> q) {
+  // A node reached from neighbor `prev` (the side the subscriber lies on)
+  // installs (prev -> profile) and keeps flooding unless covering prune
+  // applies: if an older profile installed on that same link covers the new
+  // one, nodes farther out already route everything it wants toward us, so
+  // propagation stops. Only an older entry may prune: it was flooded first,
+  // so two equal profiles never stop each other.
   while (!q.empty()) {
     Hop h = q.front();
     q.pop();
     RoutingTable& table = routers_[h.node].table();
-    bool covered = false;
+    table.AddUnique(h.prev, id, profile);
     if (options_.covering_prune) {
-      for (const auto& e : table.EntriesFor(h.prev)) {
-        if (e.id < id && ProfileCovers(*e.profile, *profile)) {
-          covered = true;
-          break;
-        }
+      const auto& entries = table.EntriesFor(h.prev);
+      auto coverer = std::find_if(
+          entries.begin(), entries.end(), [&](const RoutingTable::Entry& e) {
+            return e.id < id && ProfileCovers(*e.profile, *profile);
+          });
+      if (coverer != entries.end()) {
+        prunes_.insert(PruneRecord{coverer->id, id, h.node, h.prev});
+        coverers_of_.emplace(id, coverer->id);
+        continue;  // no need to announce farther out
       }
     }
-    table.AddUnique(h.prev, id, profile);
-    if (covered) continue;  // no need to announce farther out
     for (const auto& [n, w] : tree_.Neighbors(h.node)) {
       if (n == h.prev) continue;
       q.push(Hop{n, h.node});
@@ -204,37 +209,55 @@ void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
   }
 }
 
-bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
-  ProfilePtr removed;
-  auto sit = subscriptions_.find(id);
-  if (sit != subscriptions_.end()) {
-    removed = sit->second.profile;
+size_t ContentBasedNetwork::Unsubscribe(std::span<const ProfileId> ids) {
+  std::vector<ProfileId> removed;
+  for (ProfileId id : ids) {
+    auto sit = subscriptions_.find(id);
+    if (sit == subscriptions_.end()) continue;
+    routers_[sit->second.node].RemoveLocal(id);
+    for (auto& r : routers_) r.table().RemoveEverywhere(id);
     subscriptions_.erase(sit);
-  }
-  bool found = removed != nullptr;
-  for (auto& r : routers_) {
-    if (r.RemoveLocal(id)) found = true;
-    if (r.table().RemoveEverywhere(id) > 0) found = true;
-  }
-  // Covering-prune soundness: subscriptions whose propagation was pruned
-  // under the removed profile would go deaf. Re-propagate every remaining
-  // subscription that shares a stream with it; AddUnique makes this
-  // idempotent where entries already exist.
-  if (found && options_.covering_prune && removed != nullptr) {
-    for (const auto& [other_id, sub] : subscriptions_) {
-      bool overlaps = false;
-      for (const auto& stream : sub.profile->streams()) {
-        if (removed->WantsStream(stream)) {
-          overlaps = true;
-          break;
-        }
-      }
-      if (overlaps) {
-        PropagateSubscription(sub.node, other_id, sub.profile);
-      }
+    removed.push_back(id);
+    // Records of the removed subscription's own pruned floods go with it.
+    auto it = coverers_of_.lower_bound({id, 0});
+    while (it != coverers_of_.end() && it->first == id) {
+      const ProfileId coverer = it->second;
+      prunes_.erase(prunes_.lower_bound(PruneRecord{coverer, id, -1, -1}),
+                    prunes_.lower_bound(PruneRecord{coverer, id + 1, -1, -1}));
+      it = coverers_of_.erase(it);
     }
   }
-  return found;
+  // Covering-prune soundness: a flood stopped under a removed profile
+  // resumes at its prune sites, or the nodes beyond would stop routing
+  // toward a live subscriber ("deaf subscriber"). Sites resume in ascending
+  // id order, the order the floods first ran in, so a resumed flood can
+  // again be pruned under an older survivor, resumed or not.
+  std::map<ProfileId, std::queue<Hop>> resume;
+  for (ProfileId id : removed) {
+    auto it = prunes_.lower_bound(PruneRecord{id, 0, -1, -1});
+    while (it != prunes_.end() && it->coverer == id) {
+      resume[it->pruned].push(Hop{it->node, it->prev});
+      coverers_of_.erase({it->pruned, id});
+      it = prunes_.erase(it);
+    }
+  }
+  for (auto& [id, sites] : resume) {
+    Flood(id, subscriptions_.at(id).profile, std::move(sites));
+  }
+  COSMOS_DCHECK(PruneRecordsLive());
+  return removed.size();
+}
+
+bool ContentBasedNetwork::PruneRecordsLive() const {
+  std::set<std::pair<ProfileId, ProfileId>> pairs;
+  for (const PruneRecord& r : prunes_) {
+    if (subscriptions_.count(r.coverer) == 0 ||
+        subscriptions_.count(r.pruned) == 0) {
+      return false;
+    }
+    pairs.emplace(r.pruned, r.coverer);
+  }
+  return pairs == coverers_of_;
 }
 
 void ContentBasedNetwork::AccountLink(NodeId u, NodeId v, const Datagram& d,
@@ -395,6 +418,8 @@ void ContentBasedNetwork::ReinstallAllSubscriptions() {
     r = Router(r.id());
     r.SetTelemetry(attached_metrics_);
   }
+  prunes_.clear();
+  coverers_of_.clear();
   for (const auto& [id, sub] : subscriptions_) {
     routers_[sub.node].AddLocal(id, sub.profile, sub.callback);
     PropagateSubscription(sub.node, id, sub.profile);

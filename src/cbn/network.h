@@ -6,7 +6,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "cbn/covering.h"
 #include "cbn/router.h"
@@ -73,8 +76,15 @@ class ContentBasedNetwork {
   ProfileId Subscribe(NodeId node, Profile profile,
                       DeliveryCallback callback);
 
-  // Removes the subscription everywhere. False when unknown.
-  bool Unsubscribe(ProfileId id);
+  // Removes the subscriptions everywhere, then resumes the floods that
+  // covering prune stopped under them (see PruneRecord); returns how many
+  // of `ids` were live. Retiring a batch at once keeps its members from
+  // resuming each other's floods only to drop them again.
+  size_t Unsubscribe(std::span<const ProfileId> ids);
+  // The one-element batch. False when `id` is unknown.
+  bool Unsubscribe(ProfileId id) {
+    return Unsubscribe(std::span<const ProfileId>(&id, 1)) > 0;
+  }
 
   // Publishes a datagram from `node` (a source or a processor emitting a
   // result stream). Returns the number of local deliveries performed
@@ -161,8 +171,34 @@ class ContentBasedNetwork {
     DeliveryCallback callback;
   };
 
+  // A flood of a subscription reaching `node` from neighbor `prev` (the
+  // subscriber's side).
+  struct Hop {
+    NodeId node;
+    NodeId prev;
+  };
+  // Where covering prune stopped the flood of `pruned`: at `node`, the entry
+  // of the older subscription `coverer` on link `prev` covers it, so the
+  // flood installed (prev -> pruned) there and went no farther. Unsubscribing
+  // `coverer` resumes the flood from exactly these sites; unsubscribing
+  // either side drops the record.
+  struct PruneRecord {
+    ProfileId coverer;
+    ProfileId pruned;
+    NodeId node;
+    NodeId prev;
+    auto operator<=>(const PruneRecord&) const = default;
+  };
+
   void PropagateSubscription(NodeId subscriber, ProfileId id,
                              const ProfilePtr& profile);
+  // Installs (prev -> id) at each hop of `q` and floods onward until the
+  // tree ends or an older covering entry prunes it (recorded in prunes_).
+  // Every hop pushed onward is one control message.
+  void Flood(ProfileId id, const ProfilePtr& profile, std::queue<Hop> q);
+  // True when every prune record names two live subscriptions and the two
+  // indexes of the records agree.
+  bool PruneRecordsLive() const;
   // Installs routing entries for one subscription along the tree path from
   // `publisher` to `subscriber` (advertisement-scoped propagation).
   void InstallAlongPath(NodeId publisher, NodeId subscriber, ProfileId id,
@@ -213,7 +249,8 @@ class ContentBasedNetwork {
   bool LinkFailed(NodeId u, NodeId v) const {
     return failed_links_.count(DisseminationTree::EdgeKey(u, v)) > 0;
   }
-  // Clears all routing state and reinstalls every live subscription.
+  // Clears all routing state and prune records and reinstalls every live
+  // subscription.
   void ReinstallAllSubscriptions();
   // Delivers every buffered datagram into its recorded cut-off component
   // and counts it recovered. Called after Repair()/RebuildTree() restored
@@ -232,6 +269,10 @@ class ContentBasedNetwork {
   ProfileId next_profile_id_ = 1;
 
   std::map<ProfileId, Subscription> subscriptions_;
+  // Prune records ordered by coverer, and (pruned, coverer) pairs of the
+  // same records, so unsubscribing either side finds its records directly.
+  std::set<PruneRecord> prunes_;
+  std::set<std::pair<ProfileId, ProfileId>> coverers_of_;
   std::map<std::string, std::set<NodeId>> advertisements_;
   std::set<std::pair<NodeId, NodeId>> failed_links_;
   struct Buffered {

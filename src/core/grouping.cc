@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "query/unparser.h"
 
 namespace cosmos {
 
@@ -173,10 +174,19 @@ Result<GroupingEngine::AddResult> GroupingEngine::RemoveQuery(
     COSMOS_DCHECK(CheckInvariants());
     return result;
   }
+  // Recompose under the next version's name, but bump the version (and so
+  // the result stream) only when the remaining members need a different
+  // representative: an unchanged one keeps the installed query and every
+  // member's subscription. Unparse does not name the result stream.
   ++g.version;
-  COSMOS_ASSIGN_OR_RETURN(g.representative, Recompose(g));
-  g.representative_rate = estimator_.EstimateOutputRate(g.representative);
-  result.representative_changed = true;
+  COSMOS_ASSIGN_OR_RETURN(AnalyzedQuery rep, Recompose(g));
+  if (Unparse(rep) == Unparse(g.representative)) {
+    --g.version;
+  } else {
+    g.representative = std::move(rep);
+    g.representative_rate = estimator_.EstimateOutputRate(g.representative);
+    result.representative_changed = true;
+  }
   COSMOS_DCHECK(CheckInvariants());
   return result;
 }

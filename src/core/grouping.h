@@ -50,7 +50,9 @@ class GroupingEngine {
                              const AnalyzedQuery& query);
 
   // Removes a query; the group shrinks (and is dropped when empty). The
-  // representative is recomposed from the remaining members.
+  // representative is recomposed from the remaining members; the version
+  // moves and representative_changed is set only when it differs from the
+  // installed one.
   Result<AddResult> RemoveQuery(const std::string& query_id);
 
   const std::map<uint64_t, QueryGroup>& groups() const { return groups_; }

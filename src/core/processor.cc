@@ -147,23 +147,28 @@ Status Processor::SyncGroup(uint64_t group_id) {
     RefreshSourceSubscription();
 
     // Refresh every member's re-tightened user profile: they must point at
-    // the (possibly renamed, possibly widened) new result stream.
+    // the renamed, possibly widened or narrowed, new result stream. Every
+    // new profile is subscribed before the old ones retire in one batch, so
+    // coverage never lapses and the old profiles never resume each other's
+    // pruned floods on their way out.
+    std::vector<ProfileId> retired;
     for (const auto& member_id : group->member_ids) {
       auto qit = queries_.find(member_id);
       if (qit == queries_.end()) continue;
       QueryRuntime& q = qit->second;
-      if (q.user_profile != 0) {
-        network_->Unsubscribe(q.user_profile);
-        q.user_profile = 0;
+      if (q.user_profile != 0) retired.push_back(q.user_profile);
+      q.user_profile = 0;
+      auto user_profile = ComposeUserProfile(q.analyzed, group->representative);
+      if (!user_profile.ok()) {
+        network_->Unsubscribe(retired);
+        return user_profile.status();
       }
-      COSMOS_ASSIGN_OR_RETURN(
-          Profile user_profile,
-          ComposeUserProfile(q.analyzed, group->representative));
       q.user_profile = network_->Subscribe(
-          q.user_node, std::move(user_profile),
+          q.user_node, std::move(*user_profile),
           MakePresentationCallback(q.analyzed, group->representative,
                                    q.callback));
     }
+    network_->Unsubscribe(retired);
     return Status::OK();
   }
 

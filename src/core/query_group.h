@@ -13,10 +13,12 @@ namespace cosmos {
 // out of its result stream by re-tightened user profiles.
 struct QueryGroup {
   uint64_t group_id = 0;
-  // Bumped whenever the representative changes; result streams are named
-  // "<prefix>grp_<id>_v<version>" so stale subscriptions never alias new
-  // ones. The prefix namespaces groups per processor — COSMOS stream names
-  // are globally unique (paper §3).
+  // Bumped whenever the representative changes, and only then: a member
+  // removal that leaves Unparse(representative) as it was keeps the
+  // version, the installed SPE query and every other member's subscription.
+  // Result streams are named "<prefix>grp_<id>_v<version>" so stale
+  // subscriptions never alias new ones. The prefix namespaces groups per
+  // processor — COSMOS stream names are globally unique (paper §3).
   uint64_t version = 0;
   std::string name_prefix;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
@@ -305,6 +307,138 @@ TEST(Network, RepeatedRefreshChurnKeepsDelivery) {
     current = next;
     net.Publish(0, MakeDatagram(10, round));
     EXPECT_EQ(hits, round + 1) << "round " << round;
+  }
+}
+
+// A second stream for cross-stream churn: "t" with one attribute in [0, 100].
+Datagram LevelDatagram(double level) {
+  static const auto schema = std::make_shared<Schema>(
+      "t", std::vector<AttributeDef>{{"level", ValueType::kDouble, 0, 100}});
+  return Datagram{"t", Tuple(schema, {Value(level)}, 0)};
+}
+
+TEST(Network, UnsubscribeResumesOnlyPrunedFloods) {
+  // Chain 0 - 1 - 2 - 3 - 4. Wide A and narrow B subscribe at node 4, so
+  // B's flood stops at node 3 under A; C subscribes on stream t at node 0.
+  auto tree = DisseminationTree::FromEdges(
+                  5, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0},
+                      Edge{3, 4, 1.0}})
+                  .value();
+  ContentBasedNetwork net(std::move(tree));
+  Profile wide;
+  wide.AddFilter(Filter("s", Clause("temp >= 0 AND temp <= 40")));
+  Profile narrow;
+  narrow.AddFilter(Filter("s", Clause("temp >= 10 AND temp <= 20")));
+  Profile other;
+  other.AddStream("t");
+  int hits_b = 0;
+  int hits_c = 0;
+  ProfileId a = net.Subscribe(4, wide, nullptr);
+  const uint64_t before_b = net.control_messages();
+  ProfileId b = net.Subscribe(
+      4, narrow, [&](const std::string&, const Tuple&) { ++hits_b; });
+  EXPECT_EQ(net.control_messages() - before_b, 1u) << "B stops at node 3";
+  ProfileId c = net.Subscribe(
+      0, other, [&](const std::string&, const Tuple&) { ++hits_c; });
+  std::vector<size_t> c_entries;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    c_entries.push_back(net.router(n).table().CountOf(c));
+  }
+
+  const uint64_t before = net.control_messages();
+  EXPECT_TRUE(net.Unsubscribe(a));
+  // B resumes at node 3 and reaches 2, 1 and 0: three hops, nothing else.
+  EXPECT_EQ(net.control_messages() - before, 3u);
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(net.router(n).table().CountOf(b), 1u) << "node " << n;
+    EXPECT_EQ(net.router(n).table().CountOf(c), c_entries[n]) << "node " << n;
+  }
+  net.Publish(0, MakeDatagram(15, 0));
+  net.Publish(4, LevelDatagram(50));
+  EXPECT_EQ(hits_b, 1);
+  EXPECT_EQ(hits_c, 1);
+}
+
+TEST(Network, ChurnDeliversLikeAnUnprunedNetwork) {
+  // Random subscribes, single and batched unsubscribes of nested and
+  // overlapping interval profiles on two streams. After every step, each
+  // live subscription must get exactly the hits it gets in a network that
+  // never prunes, and pruning never costs more control messages.
+  constexpr int kNodes = 24;
+  constexpr int kSteps = 120;
+  for (uint64_t seed : {1, 2, 3}) {
+    TopologyOptions topo_opts;
+    topo_opts.num_nodes = kNodes;
+    topo_opts.seed = seed;
+    Topology topo = GenerateBarabasiAlbert(topo_opts);
+    auto tree = DisseminationTree::FromEdges(
+                    kNodes, *MinimumSpanningTree(topo.graph))
+                    .value();
+    NetworkOptions flood_opts;
+    flood_opts.covering_prune = false;
+    ContentBasedNetwork pruned(tree);
+    ContentBasedNetwork flood(tree, flood_opts);
+    // hits[k][i]: deliveries to the i-th subscription in network k.
+    std::vector<int> hits[2] = {std::vector<int>(kSteps, 0),
+                                std::vector<int>(kSteps, 0)};
+    std::vector<ProfileId> live;
+    Rng rng(seed * 1000 + 7);
+    int subscribed = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      double action = rng.NextDouble();
+      if (action < 0.5 || live.size() < 2) {
+        // Intervals on a coarse grid nest and overlap often.
+        double lo = 5.0 * static_cast<double>(rng.NextInt(0, 6));
+        double width = 5.0 * static_cast<double>(rng.NextInt(1, 6));
+        Profile p;
+        ConjunctiveClause c;
+        if (rng.NextBounded(2) == 0) {
+          c.ConstrainInterval("temp", Interval(lo - 10, false,
+                                               lo - 10 + width, false));
+          p.AddFilter(Filter("s", std::move(c)));
+        } else {
+          c.ConstrainInterval("level",
+                              Interval(2 * lo, false, 2 * (lo + width), false));
+          p.AddFilter(Filter("t", std::move(c)));
+        }
+        NodeId node = static_cast<NodeId>(rng.NextBounded(kNodes));
+        const int slot = subscribed++;
+        ProfileId id_pruned = pruned.Subscribe(
+            node, p, [&hits, slot](const std::string&, const Tuple&) {
+              ++hits[0][slot];
+            });
+        ProfileId id_flood = flood.Subscribe(
+            node, p, [&hits, slot](const std::string&, const Tuple&) {
+              ++hits[1][slot];
+            });
+        ASSERT_EQ(id_pruned, id_flood);
+        live.push_back(id_pruned);
+      } else {
+        // One id, or a batch of two to four.
+        size_t count = action < 0.8 ? 1 : 2 + rng.NextBounded(3);
+        std::vector<ProfileId> batch;
+        for (size_t i = 0; i < count && !live.empty(); ++i) {
+          size_t pick = rng.NextBounded(live.size());
+          batch.push_back(live[pick]);
+          live.erase(live.begin() + static_cast<long>(pick));
+        }
+        EXPECT_EQ(pruned.Unsubscribe(batch), batch.size());
+        EXPECT_EQ(flood.Unsubscribe(batch), batch.size());
+      }
+      for (NodeId from : {NodeId{0}, NodeId{kNodes / 2}, NodeId{kNodes - 1}}) {
+        for (int v = -10; v <= 40; v += 5) {
+          pruned.Publish(from, MakeDatagram(v, 0));
+          flood.Publish(from, MakeDatagram(v, 0));
+        }
+        for (int v = 0; v <= 100; v += 10) {
+          pruned.Publish(from, LevelDatagram(v));
+          flood.Publish(from, LevelDatagram(v));
+        }
+      }
+      ASSERT_EQ(hits[0], hits[1]) << "seed " << seed << " step " << step;
+      EXPECT_LE(pruned.control_messages(), flood.control_messages());
+    }
+    EXPECT_GT(*std::max_element(hits[1].begin(), hits[1].end()), 0);
   }
 }
 

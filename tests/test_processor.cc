@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "common/string_util.h"
+
 #include "stream/auction_dataset.h"
 
 namespace cosmos {
@@ -198,6 +203,92 @@ TEST_F(ProcessorTest, SourceSubscriptionIsShared) {
   network_->Publish(0, Datagram{"OpenAuction", Open(1, 10, 0)});
   EXPECT_EQ(hits1, 1);  // not 2: no duplicate source delivery
   EXPECT_EQ(hits2, 1);
+}
+
+// Submits a wide query q1 at node 2 and two disjoint narrow ones, q2 at
+// node 3 and q3 at node 2, that merge into q1's group; hits[i] counts the
+// results of query i+1.
+void SubmitWideAndTwoNarrow(Processor& proc, std::vector<int>& hits) {
+  const char* ranges[] = {"start_price >= 0 AND start_price <= 1000",
+                          "start_price >= 100 AND start_price <= 200",
+                          "start_price >= 300 AND start_price <= 400"};
+  const NodeId users[] = {2, 3, 2};
+  hits.assign(3, 0);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(proc.SubmitQuery(
+                        StrFormat("q%d", i + 1),
+                        std::string("SELECT itemID, start_price FROM "
+                                    "OpenAuction WHERE ") +
+                            ranges[i],
+                        users[i],
+                        [&hits, i](const std::string&, const Tuple&) {
+                          ++hits[i];
+                        })
+                    .ok());
+  }
+  ASSERT_EQ(proc.grouping().num_groups(), 1u);
+}
+
+std::set<ProfileId> LocalProfileIds(const ContentBasedNetwork& net) {
+  std::set<ProfileId> ids;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    for (const auto& [id, profile] : net.router(n).local_profiles()) {
+      ids.insert(id);
+    }
+  }
+  return ids;
+}
+
+TEST_F(ProcessorTest, RemovalKeepingTheRepresentativeKeepsSubscriptions) {
+  auto proc = MakeProcessor();
+  std::vector<int> hits;
+  SubmitWideAndTwoNarrow(*proc, hits);
+  const QueryGroup* group = proc->grouping().GroupOf("q1");
+  const uint64_t version = group->version;
+  const std::string stream = group->ResultStreamName();
+  std::set<ProfileId> before = LocalProfileIds(*network_);
+  const uint64_t messages = network_->control_messages();
+
+  // q1 alone still needs the whole representative.
+  ASSERT_TRUE(proc->RemoveQuery("q2").ok());
+  group = proc->grouping().GroupOf("q1");
+  EXPECT_EQ(group->version, version);
+  EXPECT_EQ(group->ResultStreamName(), stream);
+  // Only q2's user profile left; nothing was pruned under it, so the
+  // removal sends no control message.
+  std::set<ProfileId> after = LocalProfileIds(*network_);
+  EXPECT_EQ(after.size() + 1, before.size());
+  EXPECT_TRUE(std::includes(before.begin(), before.end(), after.begin(),
+                            after.end()));
+  EXPECT_EQ(network_->control_messages(), messages);
+
+  network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
+  network_->Publish(0, Datagram{"OpenAuction", Open(2, 350, 1)});
+  EXPECT_EQ(hits, (std::vector<int>{2, 0, 1}));
+}
+
+TEST_F(ProcessorTest, RemovalNarrowingTheRepresentativeBumpsTheVersion) {
+  auto proc = MakeProcessor();
+  std::vector<int> hits;
+  SubmitWideAndTwoNarrow(*proc, hits);
+  const uint64_t version = proc->grouping().GroupOf("q2")->version;
+  std::set<ProfileId> before = LocalProfileIds(*network_);
+
+  ASSERT_TRUE(proc->RemoveQuery("q1").ok());
+  const QueryGroup* group = proc->grouping().GroupOf("q2");
+  EXPECT_GT(group->version, version);
+  // Both members moved to the new result stream with fresh profiles.
+  std::set<ProfileId> after = LocalProfileIds(*network_);
+  for (ProfileId id : after) EXPECT_EQ(before.count(id), 0u) << id;
+
+  network_->ResetStats();
+  network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
+  network_->Publish(0, Datagram{"OpenAuction", Open(2, 350, 1)});
+  network_->Publish(0, Datagram{"OpenAuction", Open(3, 600, 2)});
+  EXPECT_EQ(hits, (std::vector<int>{0, 1, 1}));
+  // One source delivery into the processor and one user delivery per
+  // matching tuple: the narrowed representative drops the 600 tuple.
+  EXPECT_EQ(network_->total_deliveries(), 4u);
 }
 
 }  // namespace

@@ -5,9 +5,13 @@ The file is google-benchmark JSON produced by:
 
     bench_micro \
         --benchmark_filter='BM_RoutingForward|BM_ForwardWith|BM_CounterHotPath|BM_Match' \
+        --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
         --benchmark_out=BENCH_routing.json --benchmark_out_format=json
 
-Three gates, all measured within the same run:
+Every gate compares `_median` aggregate rows, so the file must come from a
+run with repetitions; one short run per side passes or fails on host noise.
+Each compared side's coefficient of variation over its repetitions is
+printed beside the verdict. Three gates, all measured within the same run:
 
   1. Index speedup — the run covers table sizes {10^2, 10^3, 10^4} for both
      the stream-partitioned index (BM_RoutingForwardIndexed) and the
@@ -29,6 +33,7 @@ Usage: tools/check_bench.py [BENCH_routing.json]
 """
 
 import json
+import statistics
 import sys
 
 MIN_SPEEDUP = 5.0
@@ -56,32 +61,45 @@ def main() -> int:
               "(see the module docstring); nothing to validate outside the "
               "bench job.")
         return 0
-    bench = {b["name"]: b for b in data.get("benchmarks", [])}
+    rows = data.get("benchmarks", [])
+    # Median aggregate rows, keyed by benchmark name (run_name).
+    bench = {b["run_name"]: b for b in rows
+             if b.get("run_type") == "aggregate"
+             and b.get("aggregate_name") == "median"}
+
+    def cv(name):
+        """Coefficient of variation of datagrams_per_sec over repetitions."""
+        reps = [b["datagrams_per_sec"] for b in rows
+                if b.get("run_type") == "iteration"
+                and b.get("run_name") == name and "datagrams_per_sec" in b]
+        if len(reps) < 2:
+            return float("nan")
+        return statistics.stdev(reps) / statistics.mean(reps)
 
     missing = []
     for impl in IMPLS:
         for n in SIZES:
             name = f"BM_RoutingForward{impl}/{n}"
             if name not in bench:
-                missing.append(name)
+                missing.append(f"{name}_median")
             elif "datagrams_per_sec" not in bench[name]:
-                missing.append(f"{name}:datagrams_per_sec")
+                missing.append(f"{name}_median:datagrams_per_sec")
     for impl in MATCH_IMPLS:
         for n in SIZES:
             name = f"BM_Match{impl}/{n}"
             if name not in bench:
-                missing.append(name)
+                missing.append(f"{name}_median")
             elif "datagrams_per_sec" not in bench[name]:
-                missing.append(f"{name}:datagrams_per_sec")
+                missing.append(f"{name}_median:datagrams_per_sec")
     for name in TELEMETRY_BENCHES:
         if name not in bench:
-            missing.append(name)
+            missing.append(f"{name}_median")
     for name in TELEMETRY_BENCHES[1:]:
         if name in bench and "datagrams_per_sec" not in bench[name]:
-            missing.append(f"{name}:datagrams_per_sec")
+            missing.append(f"{name}_median:datagrams_per_sec")
     if missing:
-        print(f"{path} incomplete: missing {', '.join(missing)}",
-              file=sys.stderr)
+        print(f"{path} incomplete: missing {', '.join(missing)} (run with "
+              "--benchmark_repetitions=5)", file=sys.stderr)
         return 1
 
     for n in SIZES:
@@ -93,6 +111,9 @@ def main() -> int:
     indexed = bench["BM_RoutingForwardIndexed/10000"]["datagrams_per_sec"]
     linear = bench["BM_RoutingForwardLinear/10000"]["datagrams_per_sec"]
     speedup = indexed / linear
+    print(f"CV at 10^4: indexed "
+          f"{cv('BM_RoutingForwardIndexed/10000'):.1%} | linear "
+          f"{cv('BM_RoutingForwardLinear/10000'):.1%}")
     ok = True
     if speedup < MIN_SPEEDUP:
         print(f"indexed forwarding at 10^4 entries is only {speedup:.1f}x "
@@ -112,6 +133,8 @@ def main() -> int:
     compiled = bench["BM_MatchCompiled/10000"]["datagrams_per_sec"]
     interp = bench["BM_MatchInterpreted/10000"]["datagrams_per_sec"]
     match_speedup = compiled / interp
+    print(f"CV at 10^4: compiled {cv('BM_MatchCompiled/10000'):.1%} | "
+          f"interpreted {cv('BM_MatchInterpreted/10000'):.1%}")
     if match_speedup < MIN_MATCH_SPEEDUP:
         print(f"compiled matching at 10^4 profiles is only "
               f"{match_speedup:.1f}x the interpreted walk "
@@ -126,6 +149,8 @@ def main() -> int:
     ratio = instrumented / bare
     print(f"telemetry: bare {bare:>14,.0f} dg/s | instrumented "
           f"{instrumented:>14,.0f} dg/s | {ratio:6.1%} retained")
+    print(f"CV: bare {cv('BM_ForwardWithoutTelemetry'):.1%} | instrumented "
+          f"{cv('BM_ForwardWithTelemetry'):.1%}")
     if ratio < MIN_TELEMETRY_RATIO:
         print(f"telemetry overhead too high: instrumented forwarding keeps "
               f"only {ratio:.1%} of bare throughput "
