@@ -533,11 +533,24 @@ ContentBasedNetwork::link_stats() const {
   return out;
 }
 
-std::map<std::string, uint64_t>
-ContentBasedNetwork::published_bytes_by_stream() const {
-  std::map<std::string, uint64_t> out;
+TrafficByStream ContentBasedNetwork::published_by_stream() const {
+  TrafficByStream out;
   for (const auto& [stream, sc] : stream_counters_) {
-    out[stream] = sc.published_bytes->value();
+    out[stream] = {sc.published->value(), sc.published_bytes->value()};
+  }
+  return out;
+}
+
+TrafficByStream TrafficSince(const TrafficByStream& later,
+                             const TrafficByStream& earlier) {
+  TrafficByStream out;
+  for (const auto& [stream, now] : later) {
+    auto it = earlier.find(stream);
+    StreamTraffic before = it == earlier.end() ? StreamTraffic{} : it->second;
+    if (now.tuples <= before.tuples) continue;
+    // min(): a ResetStats() in between restarts both counters from zero.
+    out[stream] = {now.tuples - before.tuples,
+                   now.bytes - std::min(now.bytes, before.bytes)};
   }
   return out;
 }

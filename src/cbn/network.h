@@ -9,6 +9,7 @@
 #include <queue>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cbn/covering.h"
@@ -28,6 +29,19 @@ struct LinkStats {
   uint64_t datagrams = 0;
   uint64_t bytes = 0;
 };
+
+// Tuples and serialized bytes published on one stream.
+struct StreamTraffic {
+  uint64_t tuples = 0;
+  uint64_t bytes = 0;
+};
+using TrafficByStream = std::map<std::string, StreamTraffic>;
+
+// Per-stream growth from `earlier` to `later` (two readings of
+// ContentBasedNetwork::published_by_stream()); streams that published
+// nothing in between are omitted.
+TrafficByStream TrafficSince(const TrafficByStream& later,
+                             const TrafficByStream& earlier);
 
 struct NetworkOptions {
   // Early projection (paper §3.1 extension). Off reproduces a traditional
@@ -156,9 +170,10 @@ class ContentBasedNetwork {
   // hop is plain adds. Must be called before anything is counted.
   void SetTelemetry(MetricsRegistry* metrics, Tracer* tracer);
 
-  // Cumulative serialized bytes published per stream (cbn.published_bytes)
-  // — the SelfTuner's measured-rate source.
-  std::map<std::string, uint64_t> published_bytes_by_stream() const;
+  // Cumulative tuples and serialized bytes published per stream
+  // (cbn.published, cbn.published_bytes): the one source of measured rates
+  // (SelfTuner rounds, CosmosSystem::CalibrateRates).
+  TrafficByStream published_by_stream() const;
 
   // Visits every live subscription as (subscriber node, profile).
   void ForEachSubscription(

@@ -16,7 +16,6 @@
 #include "core/profile_composer.h"// IWYU pragma: export
 #include "core/query_distribution.h"  // IWYU pragma: export
 #include "core/rate_estimator.h"  // IWYU pragma: export
-#include "core/statistics.h"      // IWYU pragma: export
 #include "core/system.h"          // IWYU pragma: export
 #include "core/workload.h"        // IWYU pragma: export
 #include "overlay/optimizer.h"    // IWYU pragma: export

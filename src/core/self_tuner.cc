@@ -1,11 +1,32 @@
 #include "core/self_tuner.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 
 namespace cosmos {
+namespace {
+
+// Largest relative drift |measured/estimate - 1| between the tuple rates in
+// `traffic` (published over `seconds`) and the catalog's estimates. Streams
+// the catalog does not know, or without a positive estimate, are skipped.
+double MaxDrift(const Catalog& catalog, const TrafficByStream& traffic,
+                double seconds) {
+  double max_drift = 0.0;
+  for (const auto& [stream, t] : traffic) {
+    auto info = catalog.Lookup(stream);
+    if (!info.ok() || info->rate_tuples_per_sec <= 0.0) continue;
+    double measured = static_cast<double>(t.tuples) / seconds;
+    max_drift = std::max(
+        max_drift, std::abs(measured / info->rate_tuples_per_sec - 1.0));
+  }
+  return max_drift;
+}
+
+}  // namespace
 
 SelfTuner::SelfTuner(CosmosSystem* system, SelfTunerOptions options)
     : system_(system), options_(std::move(options)) {
@@ -22,20 +43,23 @@ Result<SelfTuner::RoundStats> SelfTuner::RunOnce(Timestamp now) {
     span = tracer->BeginSpan("core", "selftune", /*tid=*/-1);
   }
 
+  // One ledger reading serves the whole round.
+  TrafficByStream reading = system_->network().published_by_stream();
+  TrafficByStream traffic = TrafficSince(reading, baseline_);
+  double seconds = static_cast<double>(now - baseline_at_) / kSecond;
+  if (seconds <= 0.0) seconds = 1.0;
+  baseline_ = std::move(reading);
+  baseline_at_ = now;
+
   // (a) Recalibrate the catalog when measured rates drifted from it.
-  stats.max_drift =
-      system_->rate_monitor().MaxDriftRatio(system_->catalog(), now);
+  stats.max_drift = MaxDrift(system_->catalog(), traffic, seconds);
   if (stats.max_drift >= options_.recalibrate_drift) {
-    stats.streams_recalibrated = system_->CalibrateRates();
+    stats.streams_recalibrated = system_->CalibrateRates(traffic, seconds);
   }
 
   // (b) Flows from the bytes the data layer actually carried this window.
-  double seconds = static_cast<double>(now - baseline_at_) / kSecond;
-  if (seconds <= 0.0) seconds = 1.0;
-  std::vector<Flow> flows = system_->MeasuredFlows(baseline_bytes_, seconds);
+  std::vector<Flow> flows = system_->MeasuredFlows(traffic, seconds);
   stats.flows = flows.size();
-  baseline_bytes_ = system_->network().published_bytes_by_stream();
-  baseline_at_ = now;
 
   // (c) Re-optimize the overlay against measured reality; SelfTune applies
   // the improved tree through RebuildTree.
@@ -78,28 +102,22 @@ Result<SelfTuner::RoundStats> SelfTuner::RunOnce(Timestamp now) {
 
 void SelfTuner::Start() {
   Simulator* sim = system_->sim();
-  if (sim == nullptr || running_) return;
-  running_ = true;
-  baseline_bytes_ = system_->network().published_bytes_by_stream();
+  if (sim == nullptr || running()) return;
+  chain_ = std::make_shared<SelfTuner*>(this);
+  baseline_ = system_->network().published_by_stream();
   baseline_at_ = sim->now();
   ScheduleNext();
 }
 
-void SelfTuner::Stop() {
-  running_ = false;
-  if (pending_ != 0 && system_->sim() != nullptr) {
-    system_->sim()->Cancel(pending_);
-  }
-  pending_ = 0;
-}
-
 void SelfTuner::ScheduleNext() {
-  Simulator* sim = system_->sim();
-  pending_ = sim->Schedule(options_.period, [this]() {
-    if (!running_) return;
-    (void)RunOnce(system_->sim()->now());
-    ScheduleNext();
-  });
+  system_->sim()->Schedule(
+      options_.period, [chain = std::weak_ptr<SelfTuner*>(chain_)]() {
+        std::shared_ptr<SelfTuner*> live = chain.lock();
+        if (live == nullptr) return;
+        SelfTuner* self = *live;
+        (void)self->RunOnce(self->system_->sim()->now());
+        self->ScheduleNext();
+      });
 }
 
 }  // namespace cosmos

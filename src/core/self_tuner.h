@@ -1,8 +1,7 @@
 #ifndef COSMOS_CORE_SELF_TUNER_H_
 #define COSMOS_CORE_SELF_TUNER_H_
 
-#include <map>
-#include <string>
+#include <memory>
 
 #include "core/system.h"
 
@@ -20,9 +19,11 @@ struct SelfTunerOptions {
 // The closed self-tuning loop (the "S" in COSMOS, paper §3.2): instead of
 // optimizing the overlay against RateEstimator guesses, each round measures
 // what the data layer actually carried since the previous round and feeds
-// that back into the control decisions. One round:
-//  (a) recalibrates the catalog from the RateMonitor when rates drifted,
-//  (b) builds Flows from the CBN's measured per-stream byte counters,
+// that back into the control decisions. Every measurement is a rate read
+// off the CBN ledger: a counter's growth since the round's baseline reading
+// over the virtual time since that reading. One round:
+//  (a) recalibrates the catalog's tuple rates when they drifted,
+//  (b) builds Flows from the measured per-stream published bytes,
 //  (c) re-runs the OverlayOptimizer and applies an improved tree,
 //  (d) records its own actions as telemetry (selftune.* instruments and a
 //      tracer slice).
@@ -33,6 +34,8 @@ struct SelfTunerOptions {
 class SelfTuner {
  public:
   explicit SelfTuner(CosmosSystem* system, SelfTunerOptions options = {});
+  SelfTuner(const SelfTuner&) = delete;
+  SelfTuner& operator=(const SelfTuner&) = delete;
 
   struct RoundStats {
     size_t streams_recalibrated = 0;
@@ -49,10 +52,11 @@ class SelfTuner {
   Result<RoundStats> RunOnce(Timestamp now);
 
   // Schedules periodic RunOnce every `period` on the system's simulator.
-  // No-op when the system runs synchronously (no simulator).
+  // No-op when the system runs synchronously (no simulator). After Stop()
+  // (or destruction) a round still queued on the simulator does nothing.
   void Start();
-  void Stop();
-  bool running() const { return running_; }
+  void Stop() { chain_.reset(); }
+  bool running() const { return chain_ != nullptr; }
 
   uint64_t rounds_run() const { return rounds_; }
   const RoundStats& last_round() const { return last_; }
@@ -62,12 +66,13 @@ class SelfTuner {
 
   CosmosSystem* system_;
   SelfTunerOptions options_;
-  // Baseline of the CBN's published-bytes counters at the previous round;
-  // the next round's flow rates are the deltas against it.
-  std::map<std::string, uint64_t> baseline_bytes_;
+  // The ledger reading at the previous round (or construction/Start()):
+  // the next round's rates are the growth since it.
+  TrafficByStream baseline_;
   Timestamp baseline_at_ = 0;
-  bool running_ = false;
-  uint64_t pending_ = 0;  // scheduled event id, for Stop()
+  // The running chain's token. Each scheduled round holds it weakly and
+  // does nothing once Stop(), a later Start() or the destructor dropped it.
+  std::shared_ptr<SelfTuner*> chain_;
   uint64_t rounds_ = 0;
   RoundStats last_;
 };

@@ -1,5 +1,7 @@
 #include "core/system.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace cosmos {
@@ -66,16 +68,13 @@ std::vector<Flow> CosmosSystem::CollectFlows() const {
   return flows;
 }
 
-std::vector<Flow> CosmosSystem::MeasuredFlows(
-    const std::map<std::string, uint64_t>& baseline_bytes,
-    double window_seconds) const {
+std::vector<Flow> CosmosSystem::MeasuredFlows(const TrafficByStream& traffic,
+                                              double window_seconds) const {
   std::vector<Flow> flows;
   if (window_seconds <= 0.0) return flows;
-  for (const auto& [stream, total] : network_.published_bytes_by_stream()) {
-    auto bit = baseline_bytes.find(stream);
-    uint64_t before = bit == baseline_bytes.end() ? 0 : bit->second;
-    if (total <= before) continue;
-    double rate_bps = static_cast<double>(total - before) / window_seconds;
+  for (const auto& [stream, t] : traffic) {
+    if (t.bytes == 0) continue;
+    double rate_bps = static_cast<double>(t.bytes) / window_seconds;
     // Publishers come from CBN advertisements, so both source streams
     // (advertised by RegisterSource) and representative result streams
     // (advertised by their processor) are covered.
@@ -171,18 +170,30 @@ Status CosmosSystem::PublishSourceTuple(const std::string& stream,
     return Status::FailedPrecondition(
         StrFormat("stream '%s' has no publisher node", stream.c_str()));
   }
-  Datagram d{stream, tuple};
   if (injection_log_enabled_) injection_log_.emplace_back(stream, tuple);
-  rate_monitor_.Record(stream, tuple.timestamp(), d.SerializedSize());
-  if (tuple.timestamp() > max_event_time_) {
-    max_event_time_ = tuple.timestamp();
-  }
-  network_.Publish(info.publisher_node, std::move(d));
+  min_event_time_ = std::min(min_event_time_, tuple.timestamp());
+  max_event_time_ = std::max(max_event_time_, tuple.timestamp());
+  network_.Publish(info.publisher_node, Datagram{stream, tuple});
   return Status::OK();
 }
 
 size_t CosmosSystem::CalibrateRates() {
-  return rate_monitor_.CalibrateCatalog(catalog_, max_event_time_);
+  if (max_event_time_ < min_event_time_) return 0;  // nothing published
+  // A single instant spans at least one second so rates stay finite.
+  double span = std::max(
+      1.0, static_cast<double>(max_event_time_ - min_event_time_) / kSecond);
+  return CalibrateRates(network_.published_by_stream(), span);
+}
+
+size_t CosmosSystem::CalibrateRates(const TrafficByStream& traffic,
+                                    double seconds) {
+  size_t updated = 0;
+  for (const auto& [stream, t] : traffic) {
+    if (t.tuples == 0) continue;
+    double rate = static_cast<double>(t.tuples) / seconds;
+    if (catalog_.UpdateRate(stream, rate).ok()) ++updated;  // known streams
+  }
+  return updated;
 }
 
 Status CosmosSystem::Replay(ReplayMerger& merger) {

@@ -1,13 +1,13 @@
 #ifndef COSMOS_CORE_SYSTEM_H_
 #define COSMOS_CORE_SYSTEM_H_
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 
 #include "core/processor.h"
 #include "core/query_distribution.h"
-#include "core/statistics.h"
 #include "stream/generator.h"
 
 namespace cosmos {
@@ -77,28 +77,27 @@ class CosmosSystem {
 
   // ---- self-tuning (the "S" in COSMOS; paper §3.2) ----
 
-  // Source arrival rates observed by the data layer (every
-  // PublishSourceTuple is recorded at its event time).
-  const RateMonitor& rate_monitor() const { return rate_monitor_; }
-
-  // Replaces the catalog's rate estimates with the observed rates so
-  // subsequent grouping decisions use measured reality. Returns the number
-  // of streams recalibrated.
+  // Replaces the catalog's rate estimates with the rates the CBN ledger
+  // measured over the event-time span published so far: cbn.published /
+  // (latest - earliest source event time), the span at least 1 s. Returns
+  // the number of streams recalibrated.
   size_t CalibrateRates();
+
+  // Writes `traffic`.tuples / `seconds` into the catalog's rate estimate of
+  // each stream in `traffic` that the catalog knows. Returns how many it
+  // updated.
+  size_t CalibrateRates(const TrafficByStream& traffic, double seconds);
 
   // Derives the persistent flows (sources -> processors -> users) from the
   // live query population.
   std::vector<Flow> CollectFlows() const;
 
-  // Flows derived from *measured* per-stream published byte counters
-  // instead of estimator guesses: for each stream whose published bytes
-  // grew past `baseline_bytes` (a previous copy of the CBN's
-  // published_bytes_by_stream(); empty = since start), one flow per
-  // (advertised publisher -> subscriber wanting the stream) at
-  // delta_bytes / window_seconds.
-  std::vector<Flow> MeasuredFlows(
-      const std::map<std::string, uint64_t>& baseline_bytes,
-      double window_seconds) const;
+  // Flows derived from *measured* traffic instead of estimator guesses: for
+  // each stream in `traffic` (bytes published over `window_seconds`, e.g.
+  // a TrafficSince() of two ledger readings), one flow per (advertised
+  // publisher -> subscriber wanting the stream) at bytes / window_seconds.
+  std::vector<Flow> MeasuredFlows(const TrafficByStream& traffic,
+                                  double window_seconds) const;
 
   // Runs the overlay optimizer against the current tree and, when it finds
   // a cheaper one, rebuilds the CBN on it (all subscription state is
@@ -137,10 +136,11 @@ class CosmosSystem {
  private:
   Simulator* sim_ = nullptr;
   std::optional<Graph> overlay_;
-  RateMonitor rate_monitor_;
   bool injection_log_enabled_ = false;
   std::vector<std::pair<std::string, Tuple>> injection_log_;
-  Timestamp max_event_time_ = 0;
+  // Event-time span of the source tuples published so far.
+  Timestamp min_event_time_ = std::numeric_limits<Timestamp>::max();
+  Timestamp max_event_time_ = std::numeric_limits<Timestamp>::min();
   Catalog catalog_;
   ContentBasedNetwork network_;
   SystemOptions options_;

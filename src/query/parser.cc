@@ -7,6 +7,13 @@
 namespace cosmos {
 namespace {
 
+// Expressions nest at most this deep: each parenthesis, NOT, unary minus
+// and each operator of a left-associative + - * / chain is one level. The
+// parser and every later pass over the tree recurse once per level, so
+// deeper input (a few KB of "(((...") is rejected instead of overflowing
+// the stack.
+constexpr int kMaxExpressionDepth = 256;
+
 // Recursive-descent parser over the token stream. Grammar (precedence low
 // to high): OR, AND, NOT, comparison, additive, multiplicative, unary minus,
 // primary.
@@ -80,6 +87,28 @@ class Parser {
     Advance();
     return Status::OK();
   }
+
+  // Levels of expression nesting entered in one scope; they are left when
+  // it ends.
+  class Nesting {
+   public:
+    explicit Nesting(Parser* parser) : parser_(parser) {}
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    ~Nesting() { parser_->depth_ -= entered_; }
+
+    Status Enter() {
+      ++entered_;
+      if (++parser_->depth_ <= kMaxExpressionDepth) return Status::OK();
+      return Status::InvalidArgument(StrFormat(
+          "expression nested deeper than %d levels at offset %zu",
+          kMaxExpressionDepth, parser_->Peek().offset));
+    }
+
+   private:
+    Parser* parser_;
+    int entered_ = 0;
+  };
 
   Status Error(const char* msg) const {
     const Token& t = Peek();
@@ -309,6 +338,8 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (PeekKeyword("NOT")) {
+      Nesting nesting(this);
+      COSMOS_RETURN_IF_ERROR(nesting.Enter());
       Advance();
       COSMOS_ASSIGN_OR_RETURN(ExprPtr child, ParseNot());
       return MakeNot(std::move(child));
@@ -383,6 +414,7 @@ class Parser {
 
   Result<ExprPtr> ParseAdditive() {
     COSMOS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
+    Nesting nesting(this);  // each operator nests `lhs` one level deeper
     for (;;) {
       ArithOp op;
       if (Peek().type == TokenType::kPlus) {
@@ -392,6 +424,7 @@ class Parser {
       } else {
         return lhs;
       }
+      COSMOS_RETURN_IF_ERROR(nesting.Enter());
       Advance();
       COSMOS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
       lhs = MakeArith(op, std::move(lhs), std::move(rhs));
@@ -400,6 +433,7 @@ class Parser {
 
   Result<ExprPtr> ParseMultiplicative() {
     COSMOS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
+    Nesting nesting(this);  // each operator nests `lhs` one level deeper
     for (;;) {
       ArithOp op;
       if (Peek().type == TokenType::kStar) {
@@ -409,6 +443,7 @@ class Parser {
       } else {
         return lhs;
       }
+      COSMOS_RETURN_IF_ERROR(nesting.Enter());
       Advance();
       COSMOS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
       lhs = MakeArith(op, std::move(lhs), std::move(rhs));
@@ -417,6 +452,8 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (Peek().type == TokenType::kMinus) {
+      Nesting nesting(this);
+      COSMOS_RETURN_IF_ERROR(nesting.Enter());
       Advance();
       // Fold negation into numeric literals; otherwise 0 - x.
       if (Peek().type == TokenType::kInteger) {
@@ -442,6 +479,8 @@ class Parser {
       case TokenType::kString:
         return MakeLiteral(Value(Advance().text));
       case TokenType::kLParen: {
+        Nesting nesting(this);
+        COSMOS_RETURN_IF_ERROR(nesting.Enter());
         Advance();
         COSMOS_ASSIGN_OR_RETURN(ExprPtr e, ParseOr());
         COSMOS_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
@@ -468,6 +507,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // levels of expression nesting currently entered
 };
 
 }  // namespace

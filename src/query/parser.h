@@ -21,6 +21,8 @@ namespace cosmos {
 // Millisecond(s)/Second(s)/Minute(s)/Hour(s)/Day(s). Keywords are
 // case-insensitive. Expressions support AND/OR/NOT, the six comparison
 // operators, + - * /, parentheses, numeric/string/boolean literals.
+// Expressions nested deeper than 256 levels (parentheses, NOT, unary minus,
+// or operators of one + - * / chain) fail with InvalidArgument.
 Result<ParsedQuery> ParseQuery(const std::string& cql);
 
 // Parses a standalone boolean expression (used for hand-written profile

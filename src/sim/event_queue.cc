@@ -1,42 +1,26 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace cosmos {
 
-uint64_t EventQueue::Push(Timestamp when, Callback cb) {
-  uint64_t id = next_seq_++;
-  heap_.push(Entry{when, id});
-  callbacks_.emplace(id, std::move(cb));
-  return id;
-}
-
-bool EventQueue::Cancel(uint64_t id) { return callbacks_.erase(id) > 0; }
-
-void EventQueue::SkipTombstones() const {
-  while (!heap_.empty() &&
-         callbacks_.find(heap_.top().seq) == callbacks_.end()) {
-    heap_.pop();
-  }
+void EventQueue::Push(Timestamp when, Callback cb) {
+  heap_.push_back(Event{when, next_seq_++, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), FiresAfter);
 }
 
 Timestamp EventQueue::NextTime() const {
-  SkipTombstones();
-  if (heap_.empty()) return kInvalidTimestamp;
-  return heap_.top().when;
+  return heap_.empty() ? kInvalidTimestamp : heap_.front().when;
 }
 
 std::pair<Timestamp, EventQueue::Callback> EventQueue::Pop() {
-  SkipTombstones();
   COSMOS_CHECK(!heap_.empty()) << "Pop() on empty event queue";
-  Entry e = heap_.top();
-  heap_.pop();
-  auto it = callbacks_.find(e.seq);
-  COSMOS_CHECK(it != callbacks_.end())
-      << "heap entry " << e.seq << " lost its callback";
-  Callback cb = std::move(it->second);
-  callbacks_.erase(it);
-  return {e.when, std::move(cb)};
+  std::pop_heap(heap_.begin(), heap_.end(), FiresAfter);
+  Event e = std::move(heap_.back());
+  heap_.pop_back();
+  return {e.when, std::move(e.cb)};
 }
 
 }  // namespace cosmos

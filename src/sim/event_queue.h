@@ -3,51 +3,48 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/time.h"
 
 namespace cosmos {
 
 // A deterministic future-event list: events fire in (time, insertion order).
+// One binary heap of {when, seq, callback}; an event, once pushed, fires.
+// A caller that may outlive its interest in an event (SelfTuner) makes the
+// callback check a token instead of cancelling it.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  // Enqueues `cb` to fire at absolute time `when`. Returns an id usable with
-  // Cancel().
-  uint64_t Push(Timestamp when, Callback cb);
+  // Enqueues `cb` to fire at absolute time `when`.
+  void Push(Timestamp when, Callback cb);
 
-  // Cancels a pending event; returns false if it already fired or was
-  // cancelled. Cancellation is lazy (tombstoned in the heap).
-  bool Cancel(uint64_t id);
+  bool Empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
-  bool Empty() const { return callbacks_.empty(); }
-  size_t size() const { return callbacks_.size(); }
-
-  // Timestamp of the earliest live event; kInvalidTimestamp when empty.
+  // Timestamp of the earliest event; kInvalidTimestamp when empty.
   Timestamp NextTime() const;
 
-  // Removes and returns the earliest live event. Requires !Empty().
+  // Removes and returns the earliest event. Requires !Empty().
   std::pair<Timestamp, Callback> Pop();
 
  private:
-  struct Entry {
+  struct Event {
     Timestamp when;
     uint64_t seq;
-    // Inverted so the priority_queue yields earliest (then lowest seq) first.
-    bool operator<(const Entry& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
+    Callback cb;
   };
+  // The heap's "less than": the std heap functions keep the greatest
+  // element on top, which under this order is the earliest event (then the
+  // first inserted).
+  static bool FiresAfter(const Event& a, const Event& b) {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
+  }
 
-  void SkipTombstones() const;
-
-  mutable std::priority_queue<Entry> heap_;
-  std::unordered_map<uint64_t, Callback> callbacks_;  // live events
+  std::vector<Event> heap_;
   uint64_t next_seq_ = 0;
 };
 

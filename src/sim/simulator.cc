@@ -4,14 +4,14 @@
 
 namespace cosmos {
 
-uint64_t Simulator::Schedule(Duration delay, EventQueue::Callback cb) {
+void Simulator::Schedule(Duration delay, EventQueue::Callback cb) {
   COSMOS_CHECK_GE(delay, 0) << "negative schedule delay";
-  return queue_.Push(now_ + delay, std::move(cb));
+  queue_.Push(now_ + delay, std::move(cb));
 }
 
-uint64_t Simulator::ScheduleAt(Timestamp when, EventQueue::Callback cb) {
+void Simulator::ScheduleAt(Timestamp when, EventQueue::Callback cb) {
   COSMOS_CHECK_GE(when, now_) << "ScheduleAt into the past";
-  return queue_.Push(when, std::move(cb));
+  queue_.Push(when, std::move(cb));
 }
 
 void Simulator::SetTelemetry(MetricsRegistry* registry) {

@@ -1,8 +1,6 @@
 #ifndef COSMOS_SIM_SIMULATOR_H_
 #define COSMOS_SIM_SIMULATOR_H_
 
-#include <cstdint>
-
 #include "common/status.h"
 #include "sim/event_queue.h"
 #include "telemetry/registry.h"
@@ -21,12 +19,10 @@ class Simulator {
   Timestamp now() const { return now_; }
 
   // Schedules `cb` to run `delay` after now (delay >= 0).
-  uint64_t Schedule(Duration delay, EventQueue::Callback cb);
+  void Schedule(Duration delay, EventQueue::Callback cb);
 
   // Schedules `cb` at absolute virtual time `when` (must be >= now).
-  uint64_t ScheduleAt(Timestamp when, EventQueue::Callback cb);
-
-  bool Cancel(uint64_t id) { return queue_.Cancel(id); }
+  void ScheduleAt(Timestamp when, EventQueue::Callback cb);
 
   // Runs until the event queue drains or Stop() is called. Returns the
   // number of events processed.

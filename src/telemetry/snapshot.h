@@ -12,7 +12,9 @@
 namespace cosmos {
 
 // A point-in-time copy of every instrument in a MetricsRegistry, plus the
-// delta algebra the SelfTuner and the DST harness read rates from.
+// delta algebra the DST harness and the end-to-end benchmark read rates
+// from. (The SelfTuner reads only the CBN's publish counters, through
+// ContentBasedNetwork::published_by_stream().)
 struct MetricsSnapshot {
   Timestamp at = 0;  // virtual time of the capture
 
@@ -48,9 +50,9 @@ MetricsSnapshot SnapshotDelta(const MetricsSnapshot& later,
 // Renders a snapshot as a stable, pretty-printed JSON document.
 std::string SnapshotToJson(const MetricsSnapshot& snapshot);
 
-// Periodic capture series: the caller (a simulator callback, the SelfTuner,
-// or a test) invokes Capture at its chosen cadence; the series keeps every
-// snapshot and serves deltas between consecutive ones.
+// Periodic capture series: the caller (a simulator callback or a test)
+// invokes Capture at its chosen cadence; the series keeps every snapshot
+// and serves deltas between consecutive ones.
 class SnapshotSeries {
  public:
   explicit SnapshotSeries(const MetricsRegistry* registry)

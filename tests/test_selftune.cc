@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/string_util.h"
 #include "core/self_tuner.h"
 #include "core/system.h"
@@ -206,10 +208,77 @@ TEST_F(SelfTuneTest, SelfTunerRunsPeriodicallyOnTheSimulator) {
   EXPECT_TRUE(tuner.running());
   sim.RunUntil(35 * kSecond);
   EXPECT_EQ(tuner.rounds_run(), 3u);
-  // Stop cancels the pending round; virtual time marching on runs nothing.
+  // After Stop the queued round does nothing and schedules no other.
   tuner.Stop();
+  EXPECT_FALSE(tuner.running());
   sim.RunUntil(2 * kMinute);
   EXPECT_EQ(tuner.rounds_run(), 3u);
+  EXPECT_FALSE(sim.HasPendingEvents());
+}
+
+// A system on a simulator whose tuner rounds count into `metrics`.
+class SelfTunerLifetimeTest : public SelfTuneTest {
+ protected:
+  void SetUp() override {
+    SelfTuneTest::SetUp();
+    SystemOptions options;
+    options.metrics = &metrics_;
+    system_ = std::make_unique<CosmosSystem>(
+        DisseminationTree::FromEdges(20, *MinimumSpanningTree(topo_.graph))
+            .value(),
+        options, &sim_);
+    system_->SetOverlay(topo_.graph);
+    topts_.period = 10 * kSecond;
+  }
+
+  uint64_t Runs() const {
+    const Counter* runs = metrics_.FindCounter("selftune.runs");
+    return runs == nullptr ? 0 : runs->value();
+  }
+
+  Simulator sim_;
+  MetricsRegistry metrics_;
+  std::unique_ptr<CosmosSystem> system_;
+  SelfTunerOptions topts_;
+};
+
+TEST_F(SelfTunerLifetimeTest, SelfTunerRestartedWithinAPeriodRunsOneChain) {
+  SelfTuner tuner(system_.get(), topts_);
+  tuner.Start();
+  sim_.RunUntil(15 * kSecond);  // round at 10 s; the next is queued at 20 s
+  ASSERT_EQ(tuner.rounds_run(), 1u);
+  tuner.Stop();
+  tuner.Start();  // the new chain's rounds fall at 25, 35, 45 s
+  sim_.RunUntil(24 * kSecond);
+  EXPECT_EQ(tuner.rounds_run(), 1u);  // the old chain's 20 s round is inert
+  sim_.RunUntil(25 * kSecond);
+  EXPECT_EQ(tuner.rounds_run(), 2u);
+  sim_.RunUntil(50 * kSecond);
+  EXPECT_EQ(tuner.rounds_run(), 4u);
+  EXPECT_EQ(Runs(), 4u);
+}
+
+TEST_F(SelfTunerLifetimeTest, SelfTunerDestroyedAfterStopLeavesNoLiveRound) {
+  {
+    SelfTuner tuner(system_.get(), topts_);
+    tuner.Start();
+    sim_.RunUntil(15 * kSecond);
+    tuner.Stop();
+  }  // its 20 s round is still queued
+  sim_.RunUntil(kMinute);
+  EXPECT_EQ(Runs(), 1u);
+  EXPECT_FALSE(sim_.HasPendingEvents());
+}
+
+TEST_F(SelfTunerLifetimeTest, SelfTunerDestroyedWhileRunningLeavesNoLiveRound) {
+  {
+    SelfTuner tuner(system_.get(), topts_);
+    tuner.Start();
+    sim_.RunUntil(15 * kSecond);
+  }  // destroyed running, its 20 s round still queued
+  sim_.RunUntil(kMinute);
+  EXPECT_EQ(Runs(), 1u);
+  EXPECT_FALSE(sim_.HasPendingEvents());
 }
 
 TEST_F(SelfTuneTest, FailAndRepairThroughSystem) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "common/random.h"
 #include "sim/simulator.h"
 
 namespace cosmos {
@@ -28,25 +32,30 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, CancelSuppressesEvent) {
+TEST(EventQueue, MatchesAnOrderedSetUnderInterleavedPushAndPop) {
+  // Reference model: the pending events as an ordered set of
+  // (time, insertion index). Every Pop must yield its first element.
   EventQueue q;
-  int fired = 0;
-  uint64_t id = q.Push(1, [&] { ++fired; });
-  q.Push(2, [&] { ++fired; });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(id));  // already cancelled
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.Empty()) q.Pop().second();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, NextTimeSkipsTombstones) {
-  EventQueue q;
-  uint64_t id = q.Push(1, [] {});
-  q.Push(5, [] {});
-  EXPECT_EQ(q.NextTime(), 1);
-  q.Cancel(id);
-  EXPECT_EQ(q.NextTime(), 5);
+  std::set<std::pair<Timestamp, int>> pending;
+  std::pair<Timestamp, int> last_fired;
+  auto pop_and_check = [&] {
+    ASSERT_EQ(q.NextTime(), pending.begin()->first);
+    auto [when, cb] = q.Pop();
+    cb();
+    EXPECT_EQ(last_fired, *pending.begin());
+    EXPECT_EQ(when, last_fired.first);
+    pending.erase(pending.begin());
+  };
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    Timestamp when = static_cast<Timestamp>(rng.NextBounded(50));
+    pending.emplace(when, i);
+    q.Push(when, [&last_fired, when, i] { last_fired = {when, i}; });
+    if (rng.NextBounded(3) == 0) pop_and_check();
+    ASSERT_EQ(q.size(), pending.size());
+  }
+  while (!q.Empty()) pop_and_check();
+  EXPECT_TRUE(pending.empty());
 }
 
 TEST(EventQueue, EmptyNextTimeIsInvalid) {
@@ -109,15 +118,6 @@ TEST(Simulator, StopHaltsRun) {
   EXPECT_TRUE(sim.HasPendingEvents());
   sim.Run();  // resumes
   EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, CancelScheduledEvent) {
-  Simulator sim;
-  int fired = 0;
-  uint64_t id = sim.Schedule(10, [&] { ++fired; });
-  EXPECT_TRUE(sim.Cancel(id));
-  sim.Run();
-  EXPECT_EQ(fired, 0);
 }
 
 TEST(Simulator, SchedulingInThePastDies) {

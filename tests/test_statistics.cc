@@ -1,128 +1,190 @@
-#include "core/statistics.h"
+// Measured stream rates. They have one source: the CBN ledger's
+// cbn.published{stream} and cbn.published_bytes{stream} counters, read
+// through ContentBasedNetwork::published_by_stream(). A SelfTuner round
+// reads rates as the growth since its previous round over the time since
+// it; CosmosSystem::CalibrateRates() reads them over the event-time span
+// published so far. (The suite is named for the job, rate monitoring.)
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "core/self_tuner.h"
 #include "core/system.h"
 #include "stream/sensor_dataset.h"
 
 namespace cosmos {
 namespace {
 
+std::unique_ptr<CosmosSystem> TwoNodeSystem() {
+  std::vector<Edge> edges = {{0, 1, 1.0}};
+  return std::make_unique<CosmosSystem>(
+      DisseminationTree::FromEdges(2, edges).value());
+}
+
+std::shared_ptr<const Schema> OneColumn(const std::string& stream) {
+  return std::make_shared<Schema>(
+      stream, std::vector<AttributeDef>{{"x", ValueType::kInt64}});
+}
+
+// Registers `stream` at node 0 with the rate estimate `rate`.
+void AddSource(CosmosSystem& system, const std::string& stream,
+               double rate) {
+  ASSERT_TRUE(system.RegisterSource(OneColumn(stream), rate, 0).ok());
+}
+
+// Publishes `n` tuples of `stream`, evenly spaced over [from, from + span).
+void PublishEvenly(CosmosSystem& system, const std::string& stream, int n,
+                   Timestamp from, Duration span) {
+  auto schema = system.catalog().LookupSchema(stream).value();
+  for (int i = 0; i < n; ++i) {
+    Timestamp ts = from + span * i / n;
+    ASSERT_TRUE(system
+                    .PublishSourceTuple(
+                        stream, Tuple(schema, {Value(int64_t{i})}, ts))
+                    .ok());
+  }
+}
+
+double CatalogRate(const CosmosSystem& system, const std::string& stream) {
+  return system.catalog().Lookup(stream)->rate_tuples_per_sec;
+}
+
 TEST(RateMonitor, EmptyMonitorReportsZero) {
-  RateMonitor m;
-  EXPECT_DOUBLE_EQ(m.TupleRate("s", 100), 0.0);
-  EXPECT_DOUBLE_EQ(m.ByteRate("s", 100), 0.0);
-  EXPECT_EQ(m.WindowCount("s", 100), 0u);
-  EXPECT_EQ(m.TotalTuples("s"), 0u);
-  EXPECT_TRUE(m.ObservedStreams().empty());
+  auto system = TwoNodeSystem();
+  AddSource(*system, "s", 5.0);
+  EXPECT_EQ(system->CalibrateRates(), 0u);
+  SelfTuner tuner(system.get());
+  auto round = tuner.RunOnce(kMinute);
+  ASSERT_TRUE(round.ok());
+  EXPECT_DOUBLE_EQ(round->max_drift, 0.0);
+  EXPECT_EQ(round->streams_recalibrated, 0u);
+  EXPECT_EQ(round->flows, 0u);
+  EXPECT_DOUBLE_EQ(CatalogRate(*system, "s"), 5.0);
 }
 
 TEST(RateMonitor, SteadyRateMeasuredCorrectly) {
-  RateMonitor m(kMinute);
+  auto system = TwoNodeSystem();
+  AddSource(*system, "s", 1.0);
   // 2 tuples/second for 30 seconds.
-  for (int i = 0; i < 60; ++i) {
-    m.Record("s", i * kSecond / 2, 100);
-  }
-  Timestamp now = 30 * kSecond;
-  EXPECT_NEAR(m.TupleRate("s", now), 2.0, 0.1);
-  EXPECT_NEAR(m.ByteRate("s", now), 200.0, 10.0);
-  EXPECT_EQ(m.TotalTuples("s"), 60u);
+  PublishEvenly(*system, "s", 60, 0, 30 * kSecond);
+  const StreamTraffic ledger =
+      system->network().published_by_stream().at("s");
+  EXPECT_EQ(ledger.tuples, 60u);
+  const Datagram one{"s", Tuple(system->catalog().LookupSchema("s").value(),
+                                {Value(int64_t{0})}, 0)};
+  EXPECT_EQ(ledger.bytes, 60 * one.SerializedSize());
+  SelfTuner tuner(system.get());
+  auto round = tuner.RunOnce(30 * kSecond);
+  ASSERT_TRUE(round.ok());
+  EXPECT_NEAR(round->max_drift, 1.0, 1e-9);
+  EXPECT_EQ(round->streams_recalibrated, 1u);
+  EXPECT_NEAR(CatalogRate(*system, "s"), 2.0, 1e-9);
 }
 
 TEST(RateMonitor, WindowForgetsOldTraffic) {
-  RateMonitor m(10 * kSecond);
-  for (int i = 0; i < 10; ++i) m.Record("s", i * kSecond, 10);
-  EXPECT_EQ(m.WindowCount("s", 9 * kSecond), 10u);
-  // 30 seconds later, everything has aged out.
-  EXPECT_EQ(m.WindowCount("s", 40 * kSecond), 0u);
-  EXPECT_DOUBLE_EQ(m.TupleRate("s", 40 * kSecond), 0.0);
-  // Lifetime totals survive.
-  EXPECT_EQ(m.TotalTuples("s"), 10u);
+  // A round's window is the time since the previous round: the second
+  // round reflects only its own traffic.
+  auto system = TwoNodeSystem();
+  AddSource(*system, "s", 1.0);
+  SelfTuner tuner(system.get());
+  PublishEvenly(*system, "s", 120, 0, 30 * kSecond);  // 4/s
+  ASSERT_TRUE(tuner.RunOnce(30 * kSecond).ok());
+  EXPECT_NEAR(CatalogRate(*system, "s"), 4.0, 1e-9);
+  PublishEvenly(*system, "s", 15, 30 * kSecond, 30 * kSecond);  // 0.5/s
+  auto round = tuner.RunOnce(60 * kSecond);
+  ASSERT_TRUE(round.ok());
+  EXPECT_NEAR(round->max_drift, 0.875, 1e-9);  // |0.5 / 4 - 1|
+  EXPECT_NEAR(CatalogRate(*system, "s"), 0.5, 1e-9);
 }
 
 TEST(RateMonitor, BurstThenIdleDecays) {
-  RateMonitor m(10 * kSecond);
-  for (int i = 0; i < 100; ++i) m.Record("s", kSecond + i, 10);  // burst
-  double during = m.TupleRate("s", kSecond + 100);
-  double later = m.TupleRate("s", 8 * kSecond);
-  EXPECT_GT(during, later);
+  // A stream that published nothing in a round is skipped: no drift, no
+  // recalibration, no flow, and the catalog keeps the burst's rate.
+  auto system = TwoNodeSystem();
+  AddSource(*system, "s", 1.0);
+  ASSERT_TRUE(system->AddProcessor(1).ok());
+  ASSERT_TRUE(system->SubmitQuery("SELECT x FROM s", 1, nullptr).ok());
+  SelfTuner tuner(system.get());
+  PublishEvenly(*system, "s", 100, 0, kSecond);  // burst
+  auto burst = tuner.RunOnce(10 * kSecond);
+  ASSERT_TRUE(burst.ok());
+  EXPECT_EQ(burst->streams_recalibrated, 1u);
+  EXPECT_GT(burst->flows, 0u);
+  auto idle = tuner.RunOnce(20 * kSecond);
+  ASSERT_TRUE(idle.ok());
+  EXPECT_DOUBLE_EQ(idle->max_drift, 0.0);
+  EXPECT_EQ(idle->streams_recalibrated, 0u);
+  EXPECT_EQ(idle->flows, 0u);
+  EXPECT_NEAR(CatalogRate(*system, "s"), 10.0, 1e-9);
 }
 
 TEST(RateMonitor, PerStreamIsolation) {
-  RateMonitor m(kMinute);
-  m.Record("a", 0, 10);
-  m.Record("a", kSecond, 10);
-  m.Record("b", 0, 10);
-  EXPECT_GT(m.TupleRate("a", kSecond), m.TupleRate("b", kSecond));
-  EXPECT_EQ(m.ObservedStreams().size(), 2u);
-}
-
-TEST(RateMonitor, OutOfOrderNearWindowEdgeStillCounted) {
-  RateMonitor m(10 * kSecond);
-  m.Record("s", 20 * kSecond, 10);
-  // Arrives late but still inside the window ending at max_ts: counted.
-  m.Record("s", 11 * kSecond, 10);
-  EXPECT_EQ(m.WindowCount("s", 20 * kSecond), 2u);
-  EXPECT_EQ(m.TotalTuples("s"), 2u);
-}
-
-TEST(RateMonitor, OutOfOrderOlderThanWindowNeverLodges) {
-  RateMonitor m(10 * kSecond);
-  m.Record("s", 20 * kSecond, 10);
-  // Arrives late AND already outside the window: it must not join the
-  // window deque (it would sit behind the newer entry, beyond the reach of
-  // front pruning, and inflate window stats for another full window).
-  m.Record("s", 5 * kSecond, 1000);
-  EXPECT_EQ(m.WindowCount("s", 20 * kSecond), 1u);
-  EXPECT_NEAR(m.ByteRate("s", 20 * kSecond), 10.0, 1e-9);
-  // The lifetime total still counts it.
-  EXPECT_EQ(m.TotalTuples("s"), 2u);
+  auto system = TwoNodeSystem();
+  AddSource(*system, "a", 1.0);
+  AddSource(*system, "b", 1.0);
+  PublishEvenly(*system, "a", 20, 0, 10 * kSecond);
+  PublishEvenly(*system, "b", 5, 0, 10 * kSecond);
+  SelfTuner tuner(system.get());
+  auto round = tuner.RunOnce(10 * kSecond);
+  ASSERT_TRUE(round.ok());
+  EXPECT_EQ(round->streams_recalibrated, 2u);
+  EXPECT_NEAR(CatalogRate(*system, "a"), 2.0, 1e-9);
+  EXPECT_NEAR(CatalogRate(*system, "b"), 0.5, 1e-9);
 }
 
 TEST(RateMonitor, SpanSecondsClipsToObservedDataEarlyOn) {
-  RateMonitor m(10 * kMinute);
-  // 5 tuples over 4 seconds, queried right away: the averaging span must be
-  // the 4 observed seconds, not the 10-minute window (which would dilute
-  // the rate toward zero), and never below 1 second.
-  for (int i = 0; i < 5; ++i) m.Record("s", i * kSecond, 10);
-  EXPECT_NEAR(m.TupleRate("s", 4 * kSecond), 1.25, 0.01);
-  // A single sample at `now` spans the 1-second floor: finite rate.
-  RateMonitor single(10 * kMinute);
-  single.Record("t", 7 * kSecond, 10);
-  EXPECT_NEAR(single.TupleRate("t", 7 * kSecond), 1.0, 1e-9);
+  // 5 tuples over 4 seconds: CalibrateRates averages over the 4 observed
+  // seconds, and never over less than 1 second.
+  auto system = TwoNodeSystem();
+  AddSource(*system, "s", 1.0);
+  PublishEvenly(*system, "s", 5, 0, 5 * kSecond);
+  EXPECT_EQ(system->CalibrateRates(), 1u);
+  EXPECT_NEAR(CatalogRate(*system, "s"), 1.25, 0.01);
+  // A single sample spans the 1-second floor: finite rate.
+  auto single = TwoNodeSystem();
+  AddSource(*single, "t", 9.0);
+  PublishEvenly(*single, "t", 1, 7 * kSecond, kSecond);
+  EXPECT_EQ(single->CalibrateRates(), 1u);
+  EXPECT_NEAR(CatalogRate(*single, "t"), 1.0, 1e-9);
 }
 
 TEST(RateMonitor, MaxDriftRatioComparesObservedToCatalog) {
-  Catalog catalog;
-  (void)catalog.RegisterStream(
-      std::make_shared<Schema>(
-          "s", std::vector<AttributeDef>{{"x", ValueType::kInt64}}),
-      /*rate=*/1.0);
-  RateMonitor m(kMinute);
-  EXPECT_DOUBLE_EQ(m.MaxDriftRatio(catalog, 0), 0.0);
-  // Observed ~3 tuples/sec against an estimate of 1 => drift ~2.0.
-  for (int i = 0; i < 90; ++i) m.Record("s", i * kSecond / 3, 10);
-  double drift = m.MaxDriftRatio(catalog, 30 * kSecond);
-  EXPECT_NEAR(drift, 2.0, 0.2);
-  // Streams unknown to the catalog are ignored.
-  for (int i = 0; i < 50; ++i) m.Record("mystery", i * kSecond, 10);
-  EXPECT_NEAR(m.MaxDriftRatio(catalog, 30 * kSecond), drift, 1e-9);
-  // After recalibration the drift collapses.
-  EXPECT_EQ(m.CalibrateCatalog(catalog, 30 * kSecond), 1u);
-  EXPECT_LT(m.MaxDriftRatio(catalog, 30 * kSecond), 0.01);
+  auto system = TwoNodeSystem();
+  AddSource(*system, "s", 1.0);
+  SelfTuner tuner(system.get());
+  // Measured 3 tuples/sec against an estimate of 1 => drift 2.0.
+  PublishEvenly(*system, "s", 90, 0, 30 * kSecond);
+  // Streams unknown to the catalog are ignored, however hot.
+  auto mystery = OneColumn("mystery");
+  for (int i = 0; i < 500; ++i) {
+    system->network().Publish(
+        0, Datagram{"mystery", Tuple(mystery, {Value(int64_t{i})}, 0)});
+  }
+  auto round = tuner.RunOnce(30 * kSecond);
+  ASSERT_TRUE(round.ok());
+  EXPECT_NEAR(round->max_drift, 2.0, 1e-9);
+  EXPECT_EQ(round->streams_recalibrated, 1u);
+  EXPECT_FALSE(system->catalog().HasStream("mystery"));
+  // After recalibration the drift collapses at the same rate.
+  PublishEvenly(*system, "s", 90, 30 * kSecond, 30 * kSecond);
+  round = tuner.RunOnce(60 * kSecond);
+  ASSERT_TRUE(round.ok());
+  EXPECT_LT(round->max_drift, 0.01);
+  EXPECT_EQ(round->streams_recalibrated, 0u);
 }
 
 TEST(RateMonitor, CalibrateCatalogWritesObservedRates) {
-  Catalog catalog;
-  (void)catalog.RegisterStream(
-      std::make_shared<Schema>(
-          "s", std::vector<AttributeDef>{{"x", ValueType::kInt64}}),
-      /*rate=*/999.0);
-  RateMonitor m(kMinute);
-  for (int i = 0; i < 20; ++i) m.Record("s", i * kSecond, 10);
-  m.Record("unknown_stream", 0, 10);
-  EXPECT_EQ(m.CalibrateCatalog(catalog, 19 * kSecond), 1u);
-  EXPECT_NEAR(catalog.Lookup("s")->rate_tuples_per_sec, 1.0, 0.2);
+  auto system = TwoNodeSystem();
+  AddSource(*system, "s", 999.0);
+  PublishEvenly(*system, "s", 20, 0, 20 * kSecond);
+  system->network().Publish(
+      0, Datagram{"unknown_stream",
+                  Tuple(OneColumn("unknown_stream"), {Value(int64_t{0})},
+                        0)});
+  EXPECT_EQ(system->CalibrateRates(), 1u);
+  EXPECT_NEAR(CatalogRate(*system, "s"), 1.0, 0.2);
 }
 
 TEST(RateMonitor, SystemObservesReplayAndCalibrates) {
@@ -140,7 +202,8 @@ TEST(RateMonitor, SystemObservesReplayAndCalibrates) {
   }
   auto replay = sensors.MakeReplay();
   ASSERT_TRUE(system.Replay(*replay).ok());
-  EXPECT_EQ(system.rate_monitor().TotalTuples("sensor_00"), 20u);
+  EXPECT_EQ(system.network().published_by_stream().at("sensor_00").tuples,
+            20u);
   EXPECT_EQ(system.CalibrateRates(), 2u);
   // True rate: one tuple per 30 seconds.
   EXPECT_NEAR(system.catalog().Lookup("sensor_00")->rate_tuples_per_sec,

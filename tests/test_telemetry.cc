@@ -254,8 +254,13 @@ TEST_F(TelemetryIntegrationTest, CountersAndTraceFlowThroughTheStack) {
                                  ++hits;
                                })
                   .ok());
+  uint64_t injected_sensor_01 = 0;
   auto replay = sensors.MakeReplay();
-  ASSERT_TRUE(system.Replay(*replay).ok());
+  while (auto t = replay->Next()) {
+    const std::string& stream = t->schema()->stream_name();
+    if (stream == "sensor_01") ++injected_sensor_01;
+    ASSERT_TRUE(system.PublishSourceTuple(stream, *t).ok());
+  }
   sim.Run();
   ASSERT_GT(hits, 0);
 
@@ -263,16 +268,17 @@ TEST_F(TelemetryIntegrationTest, CountersAndTraceFlowThroughTheStack) {
   const Counter* published = metrics.FindCounter(
       MetricsRegistry::LabeledName("cbn.published", "stream", "sensor_01"));
   ASSERT_NE(published, nullptr);
-  EXPECT_EQ(published->value(),
-            system.rate_monitor().TotalTuples("sensor_01"));
+  EXPECT_EQ(published->value(), injected_sensor_01);
   // Steady-state totals agree with the network's own accounting.
   EXPECT_EQ(metrics.FindCounter("cbn.forwards")->value(),
             system.network().total_datagrams_forwarded());
   EXPECT_EQ(metrics.FindCounter("cbn.forwarded_bytes")->value(),
             system.network().total_bytes());
-  // The measured-bytes ledger is maintained for the SelfTuner.
-  EXPECT_GT(system.network().published_bytes_by_stream().at("sensor_01"),
-            0u);
+  // The ledger view the SelfTuner measures rates from.
+  const StreamTraffic sensor_01 =
+      system.network().published_by_stream().at("sensor_01");
+  EXPECT_EQ(sensor_01.tuples, injected_sensor_01);
+  EXPECT_GT(sensor_01.bytes, 0u);
 
   // SPE counters on the processor's node.
   const Counter* tuples_in =
@@ -328,8 +334,8 @@ TEST_F(TelemetryIntegrationTest, NullTelemetryCostsNothingAndStillWorks) {
   auto replay = sensors.MakeReplay();
   ASSERT_TRUE(system.Replay(*replay).ok());
   EXPECT_GT(hits, 0);
-  // The measured-bytes ledger still works without a registry.
-  EXPECT_GT(system.network().published_bytes_by_stream().at("sensor_00"),
+  // The ledger still works without a registry.
+  EXPECT_GT(system.network().published_by_stream().at("sensor_00").bytes,
             0u);
 }
 
