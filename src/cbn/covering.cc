@@ -36,9 +36,9 @@ bool ProfileCovers(const Profile& wide, const Profile& narrow) {
   for (const auto& stream : narrow.streams()) {
     if (!wide.WantsStream(stream)) return false;
     // Compare *required* attribute sets (projection plus filter-referenced
-    // attributes), not raw projections: when a pruned subscription's entry
-    // sits downstream of links that early-project to the coverer's required
-    // set, its filters must still be evaluable on what survives.
+    // attributes), not raw projections: a covered profile's filters must
+    // still be evaluable on what survives early projection to the
+    // coverer's required set.
     if (!ProjectionCovers(wide.RequiredAttributes(stream),
                           narrow.RequiredAttributes(stream))) {
       return false;

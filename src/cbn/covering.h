@@ -6,10 +6,10 @@
 namespace cosmos {
 
 // Covering relations between filters and profiles, used for subscription
-// aggregation: when a profile already installed on a link covers a new one,
-// the new subscription need not be propagated further (classic CBN
-// optimization, SIENA-style). All tests are sound and conservative — a
-// "true" is a guarantee, a "false" means "could not prove".
+// aggregation: a processor merges the source profiles of its groups into
+// one subscription, dropping filters another filter covers. All tests are
+// sound and conservative — a "true" is a guarantee, a "false" means "could
+// not prove".
 
 // True iff every datagram covered by `narrow` is covered by `wide`
 // (requires same stream and clause implication).

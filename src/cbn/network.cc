@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
+#include <optional>
 #include <queue>
 
 #include "common/logging.h"
@@ -13,13 +13,13 @@ namespace cosmos {
 ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
                                          NetworkOptions options,
                                          Simulator* sim)
-    : tree_(std::move(tree)),
+    : tree_(std::make_shared<const DisseminationTree>(std::move(tree))),
       options_(options),
       sim_(sim),
       owned_metrics_(std::make_unique<MetricsRegistry>()),
       metrics_(owned_metrics_.get()) {
-  routers_.reserve(tree_.num_nodes());
-  for (NodeId i = 0; i < tree_.num_nodes(); ++i) routers_.emplace_back(i);
+  routers_.reserve(tree_->num_nodes());
+  for (NodeId i = 0; i < tree_->num_nodes(); ++i) routers_.emplace_back(i);
   BindLedger();
 }
 
@@ -100,7 +100,6 @@ void ContentBasedNetwork::Advertise(NodeId node, const std::string& stream) {
   COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
   auto& publishers = advertisements_[stream];
   if (!publishers.insert(node).second) return;  // already advertised
-  if (!options_.advertisement_scoping) return;
   // A new publisher appeared: existing subscriptions interested in this
   // stream need routing entries along the new publisher->subscriber paths.
   for (const auto& [id, sub] : subscriptions_) {
@@ -120,24 +119,10 @@ ProfileId ContentBasedNetwork::Subscribe(NodeId node, Profile profile,
   return id;
 }
 
-std::optional<std::set<NodeId>> ContentBasedNetwork::ScopeOf(
-    NodeId subscriber, const Profile& profile) const {
-  if (!options_.advertisement_scoping) return std::nullopt;
-  std::set<NodeId> scope;
-  for (const auto& stream : profile.streams()) {
-    const std::set<NodeId>* publishers = PublishersOf(stream);
-    if (publishers == nullptr) continue;
-    for (NodeId p : *publishers) {
-      for (NodeId n : tree_.Path(p, subscriber)) scope.insert(n);
-    }
-  }
-  return scope;
-}
-
 void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
                                            NodeId subscriber, ProfileId id,
                                            const ProfilePtr& profile) {
-  auto path = tree_.Path(publisher, subscriber);
+  auto path = tree_->Path(publisher, subscriber);
   // path runs publisher -> ... -> subscriber; at each intermediate node the
   // entry points to the next hop (toward the subscriber).
   for (size_t i = 0; i + 1 < path.size(); ++i) {
@@ -154,110 +139,22 @@ void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
 void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
                                                 ProfileId id,
                                                 const ProfilePtr& profile) {
-  auto scope = ScopeOf(subscriber, *profile);
-  if (scope.has_value()) {
-    // Advertisement-scoped installation: only publisher->subscriber paths.
-    for (const auto& stream : profile->streams()) {
-      const std::set<NodeId>* publishers = PublishersOf(stream);
-      if (publishers == nullptr) continue;
-      for (NodeId p : *publishers) {
-        InstallAlongPath(p, subscriber, id, profile);
-      }
-    }
-    return;
-  }
-
-  // Flood outward from the subscriber.
-  std::queue<Hop> q;
-  for (const auto& [n, w] : tree_.Neighbors(subscriber)) {
-    q.push(Hop{n, subscriber});
-    control_counter_->Increment();
-  }
-  Flood(id, profile, std::move(q));
-}
-
-void ContentBasedNetwork::Flood(ProfileId id, const ProfilePtr& profile,
-                                std::queue<Hop> q) {
-  // A node reached from neighbor `prev` (the side the subscriber lies on)
-  // installs (prev -> profile) and keeps flooding unless covering prune
-  // applies: if an older profile installed on that same link covers the new
-  // one, nodes farther out already route everything it wants toward us, so
-  // propagation stops. Only an older entry may prune: it was flooded first,
-  // so two equal profiles never stop each other.
-  while (!q.empty()) {
-    Hop h = q.front();
-    q.pop();
-    RoutingTable& table = routers_[h.node].table();
-    table.AddUnique(h.prev, id, profile);
-    if (options_.covering_prune) {
-      const auto& entries = table.EntriesFor(h.prev);
-      auto coverer = std::find_if(
-          entries.begin(), entries.end(), [&](const RoutingTable::Entry& e) {
-            return e.id < id && ProfileCovers(*e.profile, *profile);
-          });
-      if (coverer != entries.end()) {
-        prunes_.insert(PruneRecord{coverer->id, id, h.node, h.prev});
-        coverers_of_.emplace(id, coverer->id);
-        continue;  // no need to announce farther out
-      }
-    }
-    for (const auto& [n, w] : tree_.Neighbors(h.node)) {
-      if (n == h.prev) continue;
-      q.push(Hop{n, h.node});
-      control_counter_->Increment();
+  for (const auto& stream : profile->streams()) {
+    const std::set<NodeId>* publishers = PublishersOf(stream);
+    if (publishers == nullptr) continue;
+    for (NodeId p : *publishers) {
+      InstallAlongPath(p, subscriber, id, profile);
     }
   }
 }
 
-size_t ContentBasedNetwork::Unsubscribe(std::span<const ProfileId> ids) {
-  std::vector<ProfileId> removed;
-  for (ProfileId id : ids) {
-    auto sit = subscriptions_.find(id);
-    if (sit == subscriptions_.end()) continue;
-    routers_[sit->second.node].RemoveLocal(id);
-    for (auto& r : routers_) r.table().RemoveEverywhere(id);
-    subscriptions_.erase(sit);
-    removed.push_back(id);
-    // Records of the removed subscription's own pruned floods go with it.
-    auto it = coverers_of_.lower_bound({id, 0});
-    while (it != coverers_of_.end() && it->first == id) {
-      const ProfileId coverer = it->second;
-      prunes_.erase(prunes_.lower_bound(PruneRecord{coverer, id, -1, -1}),
-                    prunes_.lower_bound(PruneRecord{coverer, id + 1, -1, -1}));
-      it = coverers_of_.erase(it);
-    }
-  }
-  // Covering-prune soundness: a flood stopped under a removed profile
-  // resumes at its prune sites, or the nodes beyond would stop routing
-  // toward a live subscriber ("deaf subscriber"). Sites resume in ascending
-  // id order, the order the floods first ran in, so a resumed flood can
-  // again be pruned under an older survivor, resumed or not.
-  std::map<ProfileId, std::queue<Hop>> resume;
-  for (ProfileId id : removed) {
-    auto it = prunes_.lower_bound(PruneRecord{id, 0, -1, -1});
-    while (it != prunes_.end() && it->coverer == id) {
-      resume[it->pruned].push(Hop{it->node, it->prev});
-      coverers_of_.erase({it->pruned, id});
-      it = prunes_.erase(it);
-    }
-  }
-  for (auto& [id, sites] : resume) {
-    Flood(id, subscriptions_.at(id).profile, std::move(sites));
-  }
-  COSMOS_DCHECK(PruneRecordsLive());
-  return removed.size();
-}
-
-bool ContentBasedNetwork::PruneRecordsLive() const {
-  std::set<std::pair<ProfileId, ProfileId>> pairs;
-  for (const PruneRecord& r : prunes_) {
-    if (subscriptions_.count(r.coverer) == 0 ||
-        subscriptions_.count(r.pruned) == 0) {
-      return false;
-    }
-    pairs.emplace(r.pruned, r.coverer);
-  }
-  return pairs == coverers_of_;
+bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
+  auto it = subscriptions_.find(id);
+  if (it == subscriptions_.end()) return false;
+  routers_[it->second.node].RemoveLocal(id);
+  for (auto& r : routers_) r.table().RemoveEverywhere(id);
+  subscriptions_.erase(it);
+  return true;
 }
 
 void ContentBasedNetwork::AccountLink(NodeId u, NodeId v, const Datagram& d,
@@ -282,14 +179,15 @@ void ContentBasedNetwork::AccountLink(NodeId u, NodeId v, const Datagram& d,
   it->second.bytes->Add(size);
 }
 
-std::vector<bool> ContentBasedNetwork::ComponentBeyondEdge(
-    NodeId start, NodeId blocked_from) const {
+std::vector<bool> ContentBasedNetwork::Unserved(
+    const DisseminationTree& tree, NodeId start, NodeId blocked_from,
+    const std::vector<bool>* allowed) const {
   // Membership of `start`'s side of the single tree edge
   // (blocked_from, start): exactly the nodes the datagram stopped at that
   // edge never reached. Other failed links are crossed freely — nodes
   // beyond them have not seen the datagram either (the tree path is
-  // unique), and distinct buffered copies of one datagram always record
-  // disjoint sides.
+  // unique), and distinct copies of one datagram stopped at different
+  // edges always record disjoint sides.
   std::vector<bool> in(num_nodes(), false);
   std::queue<NodeId> q;
   q.push(start);
@@ -298,20 +196,40 @@ std::vector<bool> ContentBasedNetwork::ComponentBeyondEdge(
   while (!q.empty()) {
     NodeId u = q.front();
     q.pop();
-    for (const auto& [v, w] : tree_.Neighbors(u)) {
+    for (const auto& [v, w] : tree.Neighbors(u)) {
       if (in[v] || DisseminationTree::EdgeKey(u, v) == blocked) continue;
       in[v] = true;
       q.push(v);
     }
   }
+  if (allowed != nullptr) {
+    for (NodeId v = 0; v < num_nodes(); ++v) in[v] = in[v] && (*allowed)[v];
+  }
   return in;
 }
 
+void ContentBasedNetwork::Reroute(const DisseminationTree& old_tree,
+                                  NodeId next, NodeId prev, const Datagram& d,
+                                  const Origin& origin, StreamCounters* sc,
+                                  const std::vector<bool>* allowed) {
+  // The hop left `prev` on a tree that Repair()/RebuildTree() has replaced
+  // since, so `next` may lie on no path of the current tree. It still owes
+  // the nodes on `next`'s side of the old edge: re-enter at the publisher
+  // and deliver only there, exactly like a flushed copy.
+  std::vector<bool> owed = Unserved(old_tree, next, prev, allowed);
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    TraceInstant("reroute", origin.publisher, prev, 0, d);
+  }
+  Process(origin.publisher, /*from=*/-1, d, origin, sc, &owed);
+}
+
 size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
-                                    const Datagram& d, StreamCounters* sc,
+                                    const Datagram& d, const Origin& origin,
+                                    StreamCounters* sc,
                                     const std::vector<bool>* allowed) {
   // `allowed` marks the nodes that have NOT yet seen this datagram (a
-  // post-repair flush into the side a failed link cut off). It restricts
+  // post-repair flush into the side a failed link cut off, or a hop
+  // rerouted after the tree changed under it). It restricts
   // *delivery*, never forwarding: after a repair (or a wholesale tree
   // rebuild) the surviving route to an unserved subscriber may pass through
   // already-served nodes, so a forwarding restriction would strand the
@@ -329,7 +247,7 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
     }
   }
 
-  for (const auto& [neighbor, weight] : tree_.Neighbors(node)) {
+  for (const auto& [neighbor, weight] : tree_->Neighbors(node)) {
     if (neighbor == from) continue;
     std::optional<Datagram> out = routers_[node].DecideForward(
         d, neighbor, options_.early_projection, projection_cache_);
@@ -337,10 +255,12 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
     matches_counter_->Increment();
     if (LinkFailed(node, neighbor)) {
       if (options_.buffer_on_failure) {
-        // Hold a copy for the cut-off side; it resumes after Repair()
-        // delivering exactly there, so nobody sees it twice.
+        // Hold a copy for the cut-off side; it re-enters at its publisher
+        // after Repair() and delivers exactly there, so nobody sees it
+        // twice. A flushed copy stopped again keeps only the nodes its flush
+        // still owed.
         buffered_.push_back(Buffered{
-            neighbor, ComponentBeyondEdge(neighbor, node), *out});
+            origin, Unserved(*tree_, neighbor, node, allowed), *out});
         sc->buffered->Increment();
         if (traced) TraceInstant("buffer", node, neighbor, 0, *out);
       } else {
@@ -376,35 +296,37 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
       if (allowed != nullptr) {
         allowed_copy = std::make_shared<const std::vector<bool>>(*allowed);
       }
-      sim_->Schedule(delay, [this, next, prev, sc, copy = std::move(*out),
-                             allowed_copy]() {
-        Process(next, prev, copy, sc, allowed_copy.get());
+      // The hop holds the tree it was routed on, so it can tell when it
+      // lands on a replaced one.
+      sim_->Schedule(delay, [this, next, prev, origin, sc, tree = tree_,
+                             copy = std::move(*out), allowed_copy]() {
+        if (tree == tree_) {
+          Process(next, prev, copy, origin, sc, allowed_copy.get());
+        } else {
+          Reroute(*tree, next, prev, copy, origin, sc, allowed_copy.get());
+        }
       });
     } else {
-      delivered += Process(neighbor, node, *out, sc, allowed);
+      delivered += Process(neighbor, node, *out, origin, sc, allowed);
     }
   }
   return delivered;
 }
 
 size_t ContentBasedNetwork::Publish(NodeId node, const Datagram& datagram) {
-  COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
-  if (options_.advertisement_scoping) {
-    const std::set<NodeId>* publishers = PublishersOf(datagram.stream);
-    COSMOS_CHECK(publishers != nullptr && publishers->count(node) > 0)
-        << "node " << node << " advertises a stream it never registered";
-  }
+  Advertise(node, datagram.stream);
   StreamCounters* sc = StreamMetrics(datagram.stream);
   sc->published->Increment();
   sc->published_bytes->Add(datagram.SerializedSize());
   if (tracer_ != nullptr && tracer_->enabled()) {
     TraceInstant("publish", node, -1, 0, datagram);
   }
-  return Process(node, /*from=*/-1, datagram, sc);
+  return Process(node, /*from=*/-1, datagram,
+                 Origin{node, next_publish_seq_++}, sc);
 }
 
 Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
-  if (!tree_.HasEdge(u, v)) {
+  if (!tree_->HasEdge(u, v)) {
     return Status::NotFound(StrFormat("tree link (%d,%d)", u, v));
   }
   failed_links_.insert(DisseminationTree::EdgeKey(u, v));
@@ -418,8 +340,6 @@ void ContentBasedNetwork::ReinstallAllSubscriptions() {
     r = Router(r.id());
     r.SetTelemetry(attached_metrics_);
   }
-  prunes_.clear();
-  coverers_of_.clear();
   for (const auto& [id, sub] : subscriptions_) {
     routers_[sub.node].AddLocal(id, sub.profile, sub.callback);
     PropagateSubscription(sub.node, id, sub.profile);
@@ -433,7 +353,7 @@ Status ContentBasedNetwork::Repair(const Graph& overlay) {
   }
   // Surviving tree edges.
   std::vector<Edge> edges;
-  for (const auto& e : tree_.edges()) {
+  for (const auto& e : tree_->edges()) {
     if (!LinkFailed(e.u, e.v)) edges.push_back(e);
   }
   // Reconnect components greedily: union-find over surviving edges, then
@@ -469,7 +389,7 @@ Status ContentBasedNetwork::Repair(const Graph& overlay) {
 
   COSMOS_ASSIGN_OR_RETURN(DisseminationTree repaired,
                           DisseminationTree::FromEdges(num_nodes(), edges));
-  tree_ = std::move(repaired);
+  tree_ = std::make_shared<const DisseminationTree>(std::move(repaired));
   failed_links_.clear();
   PruneStaleLinkStats();
   ReinstallAllSubscriptions();
@@ -481,7 +401,7 @@ Status ContentBasedNetwork::RebuildTree(DisseminationTree tree) {
   if (tree.num_nodes() != num_nodes()) {
     return Status::InvalidArgument("tree node count mismatch");
   }
-  tree_ = std::move(tree);
+  tree_ = std::make_shared<const DisseminationTree>(std::move(tree));
   failed_links_.clear();
   PruneStaleLinkStats();
   ReinstallAllSubscriptions();
@@ -493,20 +413,27 @@ Status ContentBasedNetwork::RebuildTree(DisseminationTree tree) {
 }
 
 void ContentBasedNetwork::FlushBuffered() {
-  // Flush buffered datagrams to the nodes they never reached; restricting
-  // *delivery* to that membership guarantees no duplicates on the healthy
-  // side, while forwarding stays unrestricted so the repaired tree can
-  // route through it. (The retransmission itself travels over a recovery
-  // channel and is not charged to the byte counters.)
-  std::deque<Buffered> pending = std::move(buffered_);
+  // Each buffered copy re-enters at its publisher, in publish order, so it
+  // travels the repaired tree's FIFO paths ahead of every later datagram of
+  // its stream: per-stream order survives the failure. Restricting
+  // *delivery* to the recorded cut-off side guarantees no duplicates, while
+  // forwarding stays unrestricted so the repaired tree can route through
+  // served nodes. (The retransmission travels over a recovery channel and
+  // is not charged to the byte counters.)
+  std::vector<Buffered> pending = std::move(buffered_);
   buffered_.clear();
-  for (auto& b : pending) {
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Buffered& a, const Buffered& b) {
+                     return a.origin.seq < b.origin.seq;
+                   });
+  for (const Buffered& b : pending) {
     StreamCounters* sc = StreamMetrics(b.datagram.stream);
     sc->flushed->Increment();
     if (tracer_ != nullptr && tracer_->enabled()) {
-      TraceInstant("recover", b.entry, -1, 0, b.datagram);
+      TraceInstant("recover", b.origin.publisher, -1, 0, b.datagram);
     }
-    Process(b.entry, /*from=*/-1, b.datagram, sc, &b.allowed);
+    Process(b.origin.publisher, /*from=*/-1, b.datagram, b.origin, sc,
+            &b.allowed);
   }
 }
 
@@ -514,7 +441,7 @@ void ContentBasedNetwork::PruneStaleLinkStats() {
   // Keys for edges the repair/rebuild dropped would otherwise be charged
   // forever by WeightedBytes() at the value_or(1.0) fallback weight.
   for (auto it = link_counters_.begin(); it != link_counters_.end();) {
-    if (!tree_.HasEdge(it->first.first, it->first.second)) {
+    if (!tree_->HasEdge(it->first.first, it->first.second)) {
       it->second.datagrams->Reset();
       it->second.bytes->Reset();
       it = link_counters_.erase(it);
@@ -574,7 +501,7 @@ uint64_t ContentBasedNetwork::recovered_datagrams() const {
 double ContentBasedNetwork::WeightedBytes() const {
   double total = 0.0;
   for (const auto& [key, lc] : link_counters_) {
-    double w = tree_.EdgeWeight(key.first, key.second).value_or(1.0);
+    double w = tree_->EdgeWeight(key.first, key.second).value_or(1.0);
     total += static_cast<double>(lc.bytes->value()) * w;
   }
   return total;

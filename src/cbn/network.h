@@ -1,18 +1,13 @@
 #ifndef COSMOS_CBN_NETWORK_H_
 #define COSMOS_CBN_NETWORK_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
-#include <queue>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "cbn/covering.h"
 #include "cbn/router.h"
 #include "overlay/dissemination_tree.h"
 #include "overlay/graph.h"
@@ -47,25 +42,18 @@ struct NetworkOptions {
   // Early projection (paper §3.1 extension). Off reproduces a traditional
   // filter-only CBN (ablation abl-proj).
   bool early_projection = true;
-  // Covering-based pruning of subscription propagation (saves control
-  // messages when an already-forwarded profile covers the new one).
-  bool covering_prune = true;
-  // Advertisement scoping (paper §2: sources advertise their streams,
-  // processors advertise their result streams): subscription state is
-  // installed only on the tree paths from advertised publishers of the
-  // requested streams to the subscriber, instead of network-wide. Requires
-  // every publisher to Advertise() before publishing.
-  bool advertisement_scoping = false;
   // Buffer datagrams that would cross a failed link and flush them after
   // Repair() (data-layer high availability, paper §2's fault-tolerance
-  // module of the data layer).
+  // module of the data layer). Off counts them lost (ablation abl-ft).
   bool buffer_on_failure = true;
 };
 
 // The content-based network: routers on every node of a dissemination tree.
-// Publishing floods the datagram along tree links that have covering
-// subscriptions (reverse-path content routing); subscriptions are profiles
-// propagated from the subscriber outward.
+// Publishers advertise their streams (paper §2), and a subscription's
+// profile is installed only on the tree paths from the advertised
+// publishers of its streams to the subscriber. Publishing forwards the
+// datagram along the tree links whose entries cover it (reverse-path
+// content routing).
 //
 // When a Simulator is attached, forwarding hops are scheduled with the link
 // delay (edge weight, interpreted as milliseconds); otherwise delivery is
@@ -76,13 +64,13 @@ class ContentBasedNetwork {
                                NetworkOptions options = {},
                                Simulator* sim = nullptr);
 
-  const DisseminationTree& tree() const { return tree_; }
-  int num_nodes() const { return tree_.num_nodes(); }
+  const DisseminationTree& tree() const { return *tree_; }
+  int num_nodes() const { return tree_->num_nodes(); }
 
-  // Declares that `node` publishes `stream` (idempotent). Required before
-  // publishing when advertisement_scoping is on; otherwise optional
-  // bookkeeping. Installs the entries of existing subscriptions along the
-  // new publisher's paths.
+  // Declares that `node` publishes `stream` (idempotent) and installs the
+  // entries of existing subscriptions to `stream` along the paths from
+  // `node` to their subscribers. Publish() advertises on first use, so an
+  // explicit call only installs the routes before the first datagram.
   void Advertise(NodeId node, const std::string& stream);
 
   // Installs `profile` for a subscriber at `node`; `callback` fires on each
@@ -90,19 +78,14 @@ class ContentBasedNetwork {
   ProfileId Subscribe(NodeId node, Profile profile,
                       DeliveryCallback callback);
 
-  // Removes the subscriptions everywhere, then resumes the floods that
-  // covering prune stopped under them (see PruneRecord); returns how many
-  // of `ids` were live. Retiring a batch at once keeps its members from
-  // resuming each other's floods only to drop them again.
-  size_t Unsubscribe(std::span<const ProfileId> ids);
-  // The one-element batch. False when `id` is unknown.
-  bool Unsubscribe(ProfileId id) {
-    return Unsubscribe(std::span<const ProfileId>(&id, 1)) > 0;
-  }
+  // Removes the subscription's local delivery and every routing entry it
+  // installed. False when `id` is unknown.
+  bool Unsubscribe(ProfileId id);
 
   // Publishes a datagram from `node` (a source or a processor emitting a
-  // result stream). Returns the number of local deliveries performed
-  // (synchronous mode) or scheduled so far (simulated mode).
+  // result stream), advertising the stream from `node` first if needed.
+  // Returns the number of local deliveries performed (synchronous mode) or
+  // scheduled so far (simulated mode).
   size_t Publish(NodeId node, const Datagram& datagram);
 
   // ---- fault tolerance (data-layer module of paper Figure 2) ----
@@ -125,6 +108,9 @@ class ContentBasedNetwork {
   // Replaces the dissemination tree wholesale (the overlay optimizer's
   // reorganization path): rebuilds every router's state from the
   // subscription registry. Fails if `tree` has a different node count.
+  // After Repair() or RebuildTree(), a hop still in flight on the old tree
+  // re-enters at its publisher on landing and delivers only to the nodes
+  // it still owed (counted as recovery traffic).
   Status RebuildTree(DisseminationTree tree);
 
   // ---- statistics ----
@@ -152,7 +138,8 @@ class ContentBasedNetwork {
   // the sum of cbn.flushed.
   uint64_t recovered_datagrams() const;
   // Sum of routing-table entries across all nodes (memory cost of
-  // subscription state; advertisement scoping shrinks it).
+  // subscription state: one per subscription per link on its publisher
+  // paths).
   size_t TotalTableEntries() const;
   // Zeroes every counter of the network's ledger.
   void ResetStats();
@@ -186,41 +173,20 @@ class ContentBasedNetwork {
     DeliveryCallback callback;
   };
 
-  // A flood of a subscription reaching `node` from neighbor `prev` (the
-  // subscriber's side).
-  struct Hop {
-    NodeId node;
-    NodeId prev;
-  };
-  // Where covering prune stopped the flood of `pruned`: at `node`, the entry
-  // of the older subscription `coverer` on link `prev` covers it, so the
-  // flood installed (prev -> pruned) there and went no farther. Unsubscribing
-  // `coverer` resumes the flood from exactly these sites; unsubscribing
-  // either side drops the record.
-  struct PruneRecord {
-    ProfileId coverer;
-    ProfileId pruned;
-    NodeId node;
-    NodeId prev;
-    auto operator<=>(const PruneRecord&) const = default;
+  // Where a datagram entered the network: its publisher and its place in
+  // the network's publish order. Rides along every hop, so a copy buffered
+  // at a failed link can re-enter at its publisher, in publish order.
+  struct Origin {
+    NodeId publisher = -1;
+    uint64_t seq = 0;
   };
 
   void PropagateSubscription(NodeId subscriber, ProfileId id,
                              const ProfilePtr& profile);
-  // Installs (prev -> id) at each hop of `q` and floods onward until the
-  // tree ends or an older covering entry prunes it (recorded in prunes_).
-  // Every hop pushed onward is one control message.
-  void Flood(ProfileId id, const ProfilePtr& profile, std::queue<Hop> q);
-  // True when every prune record names two live subscriptions and the two
-  // indexes of the records agree.
-  bool PruneRecordsLive() const;
   // Installs routing entries for one subscription along the tree path from
-  // `publisher` to `subscriber` (advertisement-scoped propagation).
+  // `publisher` to `subscriber`; every new entry is one control message.
   void InstallAlongPath(NodeId publisher, NodeId subscriber, ProfileId id,
                         const ProfilePtr& profile);
-  // Nodes allowed to carry entries for this subscription; nullopt = all.
-  std::optional<std::set<NodeId>> ScopeOf(NodeId subscriber,
-                                          const Profile& profile) const;
   // Cached handles of the stream-labeled counter families. Created lazily
   // on the first datagram of each stream, then plain pointer adds.
   struct StreamCounters {
@@ -239,14 +205,14 @@ class ContentBasedNetwork {
     Counter* datagrams = nullptr;
     Counter* bytes = nullptr;
   };
-  // Processes `d` at `node` arriving from `from` (-1 = published locally);
-  // `sc` is the stream's counters, looked up once per publish or flush.
-  // When `allowed` is non-null, *delivery* is restricted to nodes with
-  // allowed[v] == true (post-repair flushing into the side a failed link
-  // cut off); forwarding is unrestricted so the flush can route through
-  // already-served nodes when the repaired tree demands it.
+  // Processes `d`, published as `origin`, at `node` arriving from `from`
+  // (-1 = entering at its publisher); `sc` is the stream's counters, looked
+  // up once per publish or flush. When `allowed` is non-null, *delivery* is
+  // restricted to nodes with allowed[v] == true (a post-repair flush or a
+  // rerouted hop); forwarding is unrestricted so the copy can route through
+  // already-served nodes on the current tree.
   size_t Process(NodeId node, NodeId from, const Datagram& d,
-                 StreamCounters* sc,
+                 const Origin& origin, StreamCounters* sc,
                  const std::vector<bool>* allowed = nullptr);
   // Resolves the total-count handles in metrics_ and forgets the per-stream
   // and per-link ones (re-created on first use).
@@ -255,49 +221,57 @@ class ContentBasedNetwork {
   // the tuple's event time, and `peer` (-1: none) and `count` when set.
   void TraceInstant(const char* name, NodeId node, NodeId peer, size_t count,
                     const Datagram& d);
-  // Membership of `start`'s side of the tree edge (blocked_from, start) —
-  // the nodes a datagram stopped at that edge has not reached.
-  std::vector<bool> ComponentBeyondEdge(NodeId start,
-                                        NodeId blocked_from) const;
+  // Membership of `start`'s side of the edge (blocked_from, start) of
+  // `tree`, intersected with `allowed` when non-null — the nodes a datagram
+  // stopped at that edge still owes delivery to.
+  std::vector<bool> Unserved(const DisseminationTree& tree, NodeId start,
+                             NodeId blocked_from,
+                             const std::vector<bool>* allowed) const;
+  // Finishes a hop from `prev` to `next` routed on `old_tree`, which
+  // Repair()/RebuildTree() has replaced since: re-enters `d` at its
+  // publisher, delivering only on `next`'s side of the old edge.
+  void Reroute(const DisseminationTree& old_tree, NodeId next, NodeId prev,
+               const Datagram& d, const Origin& origin, StreamCounters* sc,
+               const std::vector<bool>* allowed);
   void AccountLink(NodeId u, NodeId v, const Datagram& d,
                    StreamCounters* sc);
   bool LinkFailed(NodeId u, NodeId v) const {
     return failed_links_.count(DisseminationTree::EdgeKey(u, v)) > 0;
   }
-  // Clears all routing state and prune records and reinstalls every live
-  // subscription.
+  // Clears all routing state and reinstalls every live subscription.
   void ReinstallAllSubscriptions();
-  // Delivers every buffered datagram into its recorded cut-off component
-  // and counts it recovered. Called after Repair()/RebuildTree() restored
-  // a connected tree.
+  // Re-enters every buffered datagram at its publisher, in publish order,
+  // delivering only into its recorded cut-off component, and counts it
+  // recovered. Called after Repair()/RebuildTree() restored a connected
+  // tree.
   void FlushBuffered();
   // Zeroes and forgets the counters of links no longer in tree_
   // (repair/rebuild replaced them), so WeightedBytes() never charges stale
   // keys at the fallback weight and a returning link restarts at zero.
   void PruneStaleLinkStats();
 
-  DisseminationTree tree_;
+  // Shared with the hops in flight on it (see Reroute).
+  std::shared_ptr<const DisseminationTree> tree_;
   NetworkOptions options_;
   Simulator* sim_;
   std::vector<Router> routers_;
   ProjectionCache projection_cache_;
   ProfileId next_profile_id_ = 1;
+  uint64_t next_publish_seq_ = 0;
 
   std::map<ProfileId, Subscription> subscriptions_;
-  // Prune records ordered by coverer, and (pruned, coverer) pairs of the
-  // same records, so unsubscribing either side finds its records directly.
-  std::set<PruneRecord> prunes_;
-  std::set<std::pair<ProfileId, ProfileId>> coverers_of_;
   std::map<std::string, std::set<NodeId>> advertisements_;
   std::set<std::pair<NodeId, NodeId>> failed_links_;
   struct Buffered {
-    NodeId entry;               // far endpoint of the failed link
+    Origin origin;
     // Nodes on the far side of the failed link at buffer time — the ones
     // that have not seen the datagram. Flushing delivers only to them.
     std::vector<bool> allowed;
+    // The copy projected for the failed link: it keeps every attribute the
+    // far side's profiles on that link need.
     Datagram datagram;
   };
-  std::deque<Buffered> buffered_;
+  std::vector<Buffered> buffered_;
 
   // The ledger lives in metrics_: the attached registry, else owned_metrics_.
   // Routers get only the attached one (attached_metrics_), so their sampled

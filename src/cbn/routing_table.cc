@@ -86,13 +86,6 @@ void RoutingTable::Add(NodeId link, ProfileId id, ProfilePtr profile) {
   COSMOS_DCHECK(CheckInvariants());
 }
 
-bool RoutingTable::AddUnique(NodeId link, ProfileId id, ProfilePtr profile) {
-  COSMOS_CHECK(profile != nullptr) << "routing entry " << id;
-  if (Contains(link, id)) return false;
-  Add(link, id, std::move(profile));
-  return true;
-}
-
 bool RoutingTable::Remove(NodeId link, ProfileId id) {
   auto it = per_link_.find(link);
   if (it == per_link_.end()) return false;

@@ -72,10 +72,6 @@ class RoutingTable {
 
   void Add(NodeId link, ProfileId id, ProfilePtr profile);
 
-  // Adds unless an entry with `id` already exists on `link`; returns true
-  // when something was added (used by re-propagation after unsubscribes).
-  bool AddUnique(NodeId link, ProfileId id, ProfilePtr profile);
-
   // Removes the entry with `id` on `link`; true when something was removed.
   bool Remove(NodeId link, ProfileId id);
 

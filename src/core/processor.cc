@@ -1,5 +1,6 @@
 #include "core/processor.h"
 
+#include "cbn/covering.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -148,9 +149,7 @@ Status Processor::SyncGroup(uint64_t group_id) {
 
     // Refresh every member's re-tightened user profile: they must point at
     // the renamed, possibly widened or narrowed, new result stream. Every
-    // new profile is subscribed before the old ones retire in one batch, so
-    // coverage never lapses and the old profiles never resume each other's
-    // pruned floods on their way out.
+    // new profile is subscribed before the old ones retire.
     std::vector<ProfileId> retired;
     for (const auto& member_id : group->member_ids) {
       auto qit = queries_.find(member_id);
@@ -160,7 +159,7 @@ Status Processor::SyncGroup(uint64_t group_id) {
       q.user_profile = 0;
       auto user_profile = ComposeUserProfile(q.analyzed, group->representative);
       if (!user_profile.ok()) {
-        network_->Unsubscribe(retired);
+        for (ProfileId id : retired) network_->Unsubscribe(id);
         return user_profile.status();
       }
       q.user_profile = network_->Subscribe(
@@ -168,7 +167,7 @@ Status Processor::SyncGroup(uint64_t group_id) {
           MakePresentationCallback(q.analyzed, group->representative,
                                    q.callback));
     }
-    network_->Unsubscribe(retired);
+    for (ProfileId id : retired) network_->Unsubscribe(id);
     return Status::OK();
   }
 

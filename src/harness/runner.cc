@@ -221,6 +221,44 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
     }
   }
 
+  // Order invariant: the harness injects every source stream in event-time
+  // order and each stream has one publisher, so each processor node must
+  // receive each source stream in that order too (window joins evict
+  // against each port's latest timestamp and rely on it). One observer
+  // subscription per (processor node, source stream) sees what the node
+  // receives; it projects to one attribute so links keep no more than the
+  // queries' own projections need beyond it. The first reordering fails
+  // the run at once. The observers' state is shared, like `delivered`
+  // below, so it stays valid for the system's whole lifetime.
+  struct OrderWatch {
+    std::map<std::pair<NodeId, std::string>, Timestamp> last_seen;
+    bool reordered = false;
+  };
+  auto order = std::make_shared<OrderWatch>();
+  for (NodeId p : s.processors) {
+    for (const auto& src : s.sources) {
+      Profile observer;
+      observer.AddStream(src.stream, {"timestamp"});
+      system.network().Subscribe(
+          p, std::move(observer),
+          [order, &fail, p](const std::string& stream, const Tuple& t) {
+            auto [it, first] =
+                order->last_seen.try_emplace({p, stream}, t.timestamp());
+            if (first || order->reordered) return;
+            if (t.timestamp() < it->second) {
+              order->reordered = true;
+              fail(StrFormat("order: processor node %d received %s@%lld "
+                             "after %s@%lld",
+                             p, stream.c_str(),
+                             static_cast<long long>(t.timestamp()),
+                             stream.c_str(),
+                             static_cast<long long>(it->second)));
+            }
+            it->second = t.timestamp();
+          });
+    }
+  }
+
   GroundTruthOracle oracle(&system.catalog());
   // Shared so the per-query delivery callbacks (copied into CBN
   // subscriptions) stay valid for the system's whole lifetime.

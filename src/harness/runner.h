@@ -63,7 +63,10 @@ struct DstReport {
 //      own distinct events — per-stream published counters match the
 //      harness's injection counts, every buffered datagram is flushed, and
 //      cbn.matcher_fallbacks only increments when a residual-bearing
-//      profile was installed.
+//      profile was installed;
+//   6. stream order: each processor node receives each source stream in
+//      the event-time order it was injected in (checked as it happens; the
+//      first reordering ends the run).
 // Deterministic: the same scenario always yields the same report.
 DstReport RunScenario(const DstScenario& scenario,
                       const DstRunOptions& options = {});

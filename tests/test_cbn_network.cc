@@ -164,80 +164,10 @@ TEST(Network, UnsubscribeStopsDelivery) {
   EXPECT_EQ(net.router(0).table().TotalEntries(), 0u);
 }
 
-TEST(Network, CoveringPruneSavesControlMessages) {
-  TopologyOptions topo_opts;
-  topo_opts.num_nodes = 60;
-  Topology topo = GenerateBarabasiAlbert(topo_opts);
-  auto tree = DisseminationTree::FromEdges(
-                  60, *MinimumSpanningTree(topo.graph))
-                  .value();
-  Profile wide;
-  wide.AddFilter(Filter("s", Clause("temp >= 0 AND temp <= 30")));
-  Profile narrow;
-  narrow.AddFilter(Filter("s", Clause("temp >= 10 AND temp <= 20")));
-
-  NetworkOptions pruned;
-  pruned.covering_prune = true;
-  ContentBasedNetwork a(tree, pruned);
-  a.Subscribe(5, wide, nullptr);
-  uint64_t before = a.control_messages();
-  a.Subscribe(5, narrow, nullptr);
-  uint64_t pruned_cost = a.control_messages() - before;
-
-  NetworkOptions flood;
-  flood.covering_prune = false;
-  ContentBasedNetwork b(tree, flood);
-  b.Subscribe(5, wide, nullptr);
-  before = b.control_messages();
-  b.Subscribe(5, narrow, nullptr);
-  uint64_t flood_cost = b.control_messages() - before;
-
-  EXPECT_LT(pruned_cost, flood_cost);
-}
-
-TEST(Network, CoveringPruneDoesNotLoseDeliveries) {
-  // Same subscriptions with and without pruning must deliver identically.
-  TopologyOptions topo_opts;
-  topo_opts.num_nodes = 30;
-  Topology topo = GenerateBarabasiAlbert(topo_opts);
-  auto tree = DisseminationTree::FromEdges(
-                  30, *MinimumSpanningTree(topo.graph))
-                  .value();
-  std::vector<int> hits_per_mode;
-  for (bool prune : {false, true}) {
-    NetworkOptions opts;
-    opts.covering_prune = prune;
-    ContentBasedNetwork net(tree, opts);
-    int hits = 0;
-    Rng sub_rng(77);
-    for (int i = 0; i < 10; ++i) {
-      Profile p;
-      double lo = sub_rng.NextInt(-10, 30);
-      ConjunctiveClause c;
-      c.ConstrainInterval("temp", Interval(lo, false, lo + 10, false));
-      p.AddFilter(Filter("s", std::move(c)));
-      net.Subscribe(static_cast<NodeId>(sub_rng.NextBounded(30)), p,
-                    [&](const std::string&, const Tuple&) { ++hits; });
-    }
-    Rng pub_rng(99);
-    for (int i = 0; i < 50; ++i) {
-      net.Publish(static_cast<NodeId>(pub_rng.NextBounded(30)),
-                  MakeDatagram(pub_rng.NextInt(-10, 40),
-                               pub_rng.NextInt(0, 100)));
-    }
-    hits_per_mode.push_back(hits);
-  }
-  ASSERT_EQ(hits_per_mode.size(), 2u);
-  EXPECT_GT(hits_per_mode[0], 0);
-  EXPECT_EQ(hits_per_mode[0], hits_per_mode[1]);
-}
-
 TEST(Network, UnsubscribingCoveringProfileDoesNotSilenceCoveredOnes) {
-  // Regression: subscription B's propagation was pruned under covering
-  // subscription A; when A unsubscribes, B must be re-propagated or nodes
-  // beyond the prune point stop routing toward B ("deaf subscriber").
-  // Chain: publisher at 0, both subscribers at 3 — pruning happens at
-  // nodes 2 and 1 while flooding outward from node 3.
+  // Subscription A covers B on every link of their shared path; removing A
+  // must leave B's own entries in place or B goes deaf. Chain: publisher at
+  // 0, both subscribers at 3.
   auto tree = DisseminationTree::FromEdges(
                   4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                   .value();
@@ -259,11 +189,9 @@ TEST(Network, UnsubscribingCoveringProfileDoesNotSilenceCoveredOnes) {
 }
 
 TEST(Network, MutuallyCoveringProfilesStayServedAcrossRefreshes) {
-  // Regression: propagation stopped at any other entry on the same link
-  // that covered the new profile. Two equal profiles re-propagated after
-  // an unsubscribe then pruned each other at the same node, each under the
-  // other's partial installation, and the publisher side kept no entry for
-  // either. Tree 1 - 0 - 2 - 3, publisher at 3.
+  // Equal profiles on overlapping paths, each refreshed behind the other:
+  // the publisher side must keep an entry for both. Tree 1 - 0 - 2 - 3,
+  // publisher at 3 (advertised by its first publish, after the churn).
   auto tree = DisseminationTree::FromEdges(
                   4, {Edge{1, 0, 1.0}, Edge{0, 2, 1.0}, Edge{2, 3, 1.0}})
                   .value();
@@ -317,55 +245,21 @@ Datagram LevelDatagram(double level) {
   return Datagram{"t", Tuple(schema, {Value(level)}, 0)};
 }
 
-TEST(Network, UnsubscribeResumesOnlyPrunedFloods) {
-  // Chain 0 - 1 - 2 - 3 - 4. Wide A and narrow B subscribe at node 4, so
-  // B's flood stops at node 3 under A; C subscribes on stream t at node 0.
-  auto tree = DisseminationTree::FromEdges(
-                  5, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0},
-                      Edge{3, 4, 1.0}})
-                  .value();
-  ContentBasedNetwork net(std::move(tree));
-  Profile wide;
-  wide.AddFilter(Filter("s", Clause("temp >= 0 AND temp <= 40")));
-  Profile narrow;
-  narrow.AddFilter(Filter("s", Clause("temp >= 10 AND temp <= 20")));
-  Profile other;
-  other.AddStream("t");
-  int hits_b = 0;
-  int hits_c = 0;
-  ProfileId a = net.Subscribe(4, wide, nullptr);
-  const uint64_t before_b = net.control_messages();
-  ProfileId b = net.Subscribe(
-      4, narrow, [&](const std::string&, const Tuple&) { ++hits_b; });
-  EXPECT_EQ(net.control_messages() - before_b, 1u) << "B stops at node 3";
-  ProfileId c = net.Subscribe(
-      0, other, [&](const std::string&, const Tuple&) { ++hits_c; });
-  std::vector<size_t> c_entries;
-  for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    c_entries.push_back(net.router(n).table().CountOf(c));
-  }
-
-  const uint64_t before = net.control_messages();
-  EXPECT_TRUE(net.Unsubscribe(a));
-  // B resumes at node 3 and reaches 2, 1 and 0: three hops, nothing else.
-  EXPECT_EQ(net.control_messages() - before, 3u);
-  for (NodeId n = 0; n < 4; ++n) {
-    EXPECT_EQ(net.router(n).table().CountOf(b), 1u) << "node " << n;
-    EXPECT_EQ(net.router(n).table().CountOf(c), c_entries[n]) << "node " << n;
-  }
-  net.Publish(0, MakeDatagram(15, 0));
-  net.Publish(4, LevelDatagram(50));
-  EXPECT_EQ(hits_b, 1);
-  EXPECT_EQ(hits_c, 1);
-}
-
 TEST(Network, ChurnDeliversLikeAnUnprunedNetwork) {
-  // Random subscribes, single and batched unsubscribes of nested and
-  // overlapping interval profiles on two streams. After every step, each
-  // live subscription must get exactly the hits it gets in a network that
-  // never prunes, and pruning never costs more control messages.
+  // Random subscribes and unsubscribes (one to four per step) of nested and
+  // overlapping interval profiles on two streams. After every step, the
+  // churned network must hold exactly the routing state of a network built
+  // fresh from the live subscriptions and the same publishers, and each
+  // live subscription must get exactly the hits it gets there.
   constexpr int kNodes = 24;
   constexpr int kSteps = 120;
+  const NodeId kPublishers[] = {0, kNodes / 2, kNodes - 1};
+  struct Live {
+    int slot;
+    NodeId node;
+    Profile profile;
+    ProfileId id;
+  };
   for (uint64_t seed : {1, 2, 3}) {
     TopologyOptions topo_opts;
     topo_opts.num_nodes = kNodes;
@@ -374,16 +268,26 @@ TEST(Network, ChurnDeliversLikeAnUnprunedNetwork) {
     auto tree = DisseminationTree::FromEdges(
                     kNodes, *MinimumSpanningTree(topo.graph))
                     .value();
-    NetworkOptions flood_opts;
-    flood_opts.covering_prune = false;
-    ContentBasedNetwork pruned(tree);
-    ContentBasedNetwork flood(tree, flood_opts);
-    // hits[k][i]: deliveries to the i-th subscription in network k.
+    ContentBasedNetwork churned(tree);
+    // hits[0][i] / hits[1][i]: this step's deliveries to the i-th
+    // subscription in the churned / fresh network.
     std::vector<int> hits[2] = {std::vector<int>(kSteps, 0),
                                 std::vector<int>(kSteps, 0)};
-    std::vector<ProfileId> live;
+    auto counter = [&hits](int net, int slot) {
+      return [&hits, net, slot](const std::string&, const Tuple&) {
+        ++hits[net][slot];
+      };
+    };
+    auto publish_round = [&](ContentBasedNetwork& net) {
+      for (NodeId from : kPublishers) {
+        for (int v = -10; v <= 40; v += 5) net.Publish(from, MakeDatagram(v, 0));
+        for (int v = 0; v <= 100; v += 10) net.Publish(from, LevelDatagram(v));
+      }
+    };
+    std::vector<Live> live;
     Rng rng(seed * 1000 + 7);
     int subscribed = 0;
+    int max_hits = 0;
     for (int step = 0; step < kSteps; ++step) {
       double action = rng.NextDouble();
       if (action < 0.5 || live.size() < 2) {
@@ -403,42 +307,37 @@ TEST(Network, ChurnDeliversLikeAnUnprunedNetwork) {
         }
         NodeId node = static_cast<NodeId>(rng.NextBounded(kNodes));
         const int slot = subscribed++;
-        ProfileId id_pruned = pruned.Subscribe(
-            node, p, [&hits, slot](const std::string&, const Tuple&) {
-              ++hits[0][slot];
-            });
-        ProfileId id_flood = flood.Subscribe(
-            node, p, [&hits, slot](const std::string&, const Tuple&) {
-              ++hits[1][slot];
-            });
-        ASSERT_EQ(id_pruned, id_flood);
-        live.push_back(id_pruned);
+        ProfileId id = churned.Subscribe(node, p, counter(0, slot));
+        live.push_back(Live{slot, node, std::move(p), id});
       } else {
-        // One id, or a batch of two to four.
         size_t count = action < 0.8 ? 1 : 2 + rng.NextBounded(3);
-        std::vector<ProfileId> batch;
         for (size_t i = 0; i < count && !live.empty(); ++i) {
           size_t pick = rng.NextBounded(live.size());
-          batch.push_back(live[pick]);
+          EXPECT_TRUE(churned.Unsubscribe(live[pick].id));
           live.erase(live.begin() + static_cast<long>(pick));
         }
-        EXPECT_EQ(pruned.Unsubscribe(batch), batch.size());
-        EXPECT_EQ(flood.Unsubscribe(batch), batch.size());
       }
-      for (NodeId from : {NodeId{0}, NodeId{kNodes / 2}, NodeId{kNodes - 1}}) {
-        for (int v = -10; v <= 40; v += 5) {
-          pruned.Publish(from, MakeDatagram(v, 0));
-          flood.Publish(from, MakeDatagram(v, 0));
-        }
-        for (int v = 0; v <= 100; v += 10) {
-          pruned.Publish(from, LevelDatagram(v));
-          flood.Publish(from, LevelDatagram(v));
+
+      ContentBasedNetwork fresh(tree);
+      for (const char* stream : {"s", "t"}) {
+        if (const auto* publishers = churned.PublishersOf(stream)) {
+          for (NodeId p : *publishers) fresh.Advertise(p, stream);
         }
       }
+      for (const Live& l : live) {
+        fresh.Subscribe(l.node, l.profile, counter(1, l.slot));
+      }
+      ASSERT_EQ(churned.TotalTableEntries(), fresh.TotalTableEntries())
+          << "seed " << seed << " step " << step;
+      std::fill(hits[0].begin(), hits[0].end(), 0);
+      std::fill(hits[1].begin(), hits[1].end(), 0);
+      publish_round(churned);
+      publish_round(fresh);
       ASSERT_EQ(hits[0], hits[1]) << "seed " << seed << " step " << step;
-      EXPECT_LE(pruned.control_messages(), flood.control_messages());
+      max_hits = std::max(
+          max_hits, *std::max_element(hits[0].begin(), hits[0].end()));
     }
-    EXPECT_GT(*std::max_element(hits[1].begin(), hits[1].end()), 0);
+    EXPECT_GT(max_hits, 0);
   }
 }
 
@@ -558,10 +457,11 @@ TEST_P(CbnDeliveryPropertyTest, DeliveryEqualsCoverage) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CbnDeliveryPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// Regression for DST seed 313: a filtered subscription propagated after an
-// unfiltered one projecting the same attributes used to be covering-pruned,
-// after which early projection stripped the filtered attribute upstream and
-// the filtered subscriber went deaf — initially or after a tree rebuild.
+// Regression for DST seed 313: a filtered subscription installed after an
+// unfiltered one projecting the same attributes must keep its own entries
+// on their shared path, or early projection strips the filtered attribute
+// upstream and the filtered subscriber goes deaf — initially or after a
+// tree rebuild.
 TEST(Network, PrunedFilteredSubscriberStillServedUnderEarlyProjection) {
   // Chain 0-1-2-3; publisher at 0.
   auto tree = DisseminationTree::FromEdges(
@@ -585,7 +485,7 @@ TEST(Network, PrunedFilteredSubscriberStillServedUnderEarlyProjection) {
   EXPECT_EQ(filtered_hits, 1) << "filtered subscriber starved of 'temp'";
 
   // Rebuilding reinstalls subscriptions in registry order (unfiltered
-  // first), the exact shape that used to trigger the faulty prune.
+  // first).
   auto same_tree = DisseminationTree::FromEdges(
                        4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                        .value();

@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <vector>
+
 #include "cbn/network.h"
+#include "common/random.h"
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
 #include "query/parser.h"
+#include "sim/simulator.h"
 
 namespace cosmos {
 namespace {
@@ -172,10 +178,58 @@ TEST(RebuildTree, PreservesSubscriptions) {
   EXPECT_EQ(hits, 1);
 }
 
+TEST(RebuildTree, HopInFlightOnTheOldTreeDeliversOnce) {
+  // Chain 0-1-2-3-4, publisher 0, subscribers at 1 and 4. The datagram is
+  // on link 1-2 when the tree becomes a star around 0, where node 2 lies
+  // on no publisher->subscriber path. The hop still reaches node 4, and
+  // node 1, served before the rebuild, does not see it again.
+  auto chain = DisseminationTree::FromEdges(
+                   5, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0},
+                       Edge{3, 4, 1.0}})
+                   .value();
+  Simulator sim;
+  ContentBasedNetwork net(std::move(chain), NetworkOptions{}, &sim);
+  net.Advertise(0, "s");
+  int hits1 = 0;
+  int hits4 = 0;
+  Profile p;
+  p.AddStream("s");
+  net.Subscribe(1, p, [&](const std::string&, const Tuple&) { ++hits1; });
+  net.Subscribe(4, p, [&](const std::string&, const Tuple&) { ++hits4; });
+  net.Publish(0, MakeDatagram(1));
+  sim.RunUntil(3 * kMillisecond / 2);
+  ASSERT_EQ(hits1, 1);
+  ASSERT_EQ(hits4, 0);
+
+  auto star = DisseminationTree::FromEdges(
+                  5, {Edge{0, 1, 1.0}, Edge{0, 2, 1.0}, Edge{0, 3, 1.0},
+                      Edge{0, 4, 1.0}})
+                  .value();
+  ASSERT_TRUE(net.RebuildTree(std::move(star)).ok());
+  sim.Run();
+  EXPECT_EQ(hits1, 1) << "served before the rebuild, delivered again";
+  EXPECT_EQ(hits4, 1) << "in-flight datagram lost by the rebuild";
+  EXPECT_EQ(net.lost_datagrams(), 0u);
+}
+
 TEST(RebuildTree, WrongSizeRejected) {
   ContentBasedNetwork net(ChainTree());
   auto small = DisseminationTree::FromEdges(2, {Edge{0, 1, 1.0}}).value();
   EXPECT_EQ(net.RebuildTree(small).code(), StatusCode::kInvalidArgument);
+}
+
+// Routing entries a subscription at `subscriber` needs: one per link of the
+// tree path from each publisher of `stream`, shared links counted once.
+size_t PathEntries(const DisseminationTree& tree,
+                   const std::set<NodeId>& publishers, NodeId subscriber) {
+  std::set<std::pair<NodeId, NodeId>> links;
+  for (NodeId p : publishers) {
+    auto path = tree.Path(p, subscriber);
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      links.emplace(path[i], path[i + 1]);
+    }
+  }
+  return links.size();
 }
 
 TEST(Advertisements, ScopingShrinksRoutingState) {
@@ -186,76 +240,109 @@ TEST(Advertisements, ScopingShrinksRoutingState) {
                   50, *MinimumSpanningTree(topo.graph))
                   .value();
 
-  NetworkOptions scoped;
-  scoped.advertisement_scoping = true;
-  ContentBasedNetwork with(tree, scoped);
-  ContentBasedNetwork without(tree, NetworkOptions{});
-
-  with.Advertise(0, "s");
+  ContentBasedNetwork net(tree);
+  net.Advertise(0, "s");
   Profile p;
   p.AddStream("s");
-  with.Subscribe(40, p, nullptr);
-  without.Subscribe(40, p, nullptr);
-  EXPECT_LT(with.TotalTableEntries(), without.TotalTableEntries());
+  net.Subscribe(40, p, nullptr);
+  // Exactly the publisher->subscriber path, against the 49 entries (one
+  // per other node) a flooded subscription installs.
+  EXPECT_EQ(net.TotalTableEntries(), PathEntries(tree, {0}, 40));
+  EXPECT_EQ(net.control_messages(), net.TotalTableEntries());
+  EXPECT_LT(net.TotalTableEntries(), 49u);
   // Delivery still works.
   int hits = 0;
-  ProfileId id = with.Subscribe(45, p, [&](const std::string&, const Tuple&) {
-    ++hits;
-  });
-  (void)id;
-  with.Publish(0, MakeDatagram(5));
+  net.Subscribe(45, p, [&](const std::string&, const Tuple&) { ++hits; });
+  net.Publish(0, MakeDatagram(5));
   EXPECT_EQ(hits, 1);
 }
 
 TEST(Advertisements, LateAdvertiserGetsRoutes) {
-  NetworkOptions scoped;
-  scoped.advertisement_scoping = true;
-  ContentBasedNetwork net(ChainTree(), scoped);
+  ContentBasedNetwork net(ChainTree());
   int hits = 0;
   Profile p;
   p.AddStream("s");
   net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits; });
+  EXPECT_EQ(net.TotalTableEntries(), 0u);  // nobody publishes s yet
   // Subscription predates the advertisement.
   net.Advertise(0, "s");
+  EXPECT_EQ(net.TotalTableEntries(), 3u);
   net.Publish(0, MakeDatagram(1));
   EXPECT_EQ(hits, 1);
 }
 
+TEST(Advertisements, PublishAdvertisesItsNode) {
+  // A publisher that never called Advertise() is advertised by its first
+  // datagram, which still reaches a subscriber that predates it.
+  ContentBasedNetwork net(ChainTree());
+  int hits = 0;
+  Profile p;
+  p.AddStream("s");
+  net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits; });
+  EXPECT_EQ(net.PublishersOf("s"), nullptr);
+  net.Publish(1, MakeDatagram(1));
+  EXPECT_EQ(hits, 1);
+  const auto* pubs = net.PublishersOf("s");
+  ASSERT_NE(pubs, nullptr);
+  EXPECT_EQ(*pubs, std::set<NodeId>{1});
+  EXPECT_EQ(net.TotalTableEntries(), 2u);  // 1->2 and 2->3
+}
+
 TEST(Advertisements, ScopedDeliveryMatchesUnscopedDelivery) {
+  // Two publishers of one stream: each subscriber gets exactly the
+  // datagrams its profile covers, whichever publisher sent them, from
+  // entries on the publisher->subscriber paths only.
   TopologyOptions topo_opts;
   topo_opts.num_nodes = 20;
   Topology topo = GenerateBarabasiAlbert(topo_opts);
   auto tree = DisseminationTree::FromEdges(
                   20, *MinimumSpanningTree(topo.graph))
                   .value();
-  Rng rng(31);
-  std::vector<int> hits_per_mode;
-  for (bool scoping : {false, true}) {
-    NetworkOptions opts;
-    opts.advertisement_scoping = scoping;
-    ContentBasedNetwork net(tree, opts);
-    net.Advertise(2, "s");
-    net.Advertise(11, "s");
+  ContentBasedNetwork net(tree);
+  net.Advertise(2, "s");
+  net.Advertise(11, "s");
+  struct Sub {
+    Profile profile;
+    NodeId node;
     int hits = 0;
-    Rng sub_rng(5);
-    for (int i = 0; i < 8; ++i) {
-      Profile p;
-      ConjunctiveClause c;
-      double lo = sub_rng.NextInt(-10, 30);
-      c.ConstrainInterval("temp", Interval(lo, false, lo + 10, false));
-      p.AddFilter(Filter("s", std::move(c)));
-      net.Subscribe(static_cast<NodeId>(sub_rng.NextBounded(20)), p,
-                    [&](const std::string&, const Tuple&) { ++hits; });
-    }
-    Rng pub_rng(9);
-    for (int i = 0; i < 60; ++i) {
-      NodeId publisher = pub_rng.NextBool() ? 2 : 11;
-      net.Publish(publisher, MakeDatagram(pub_rng.NextInt(-10, 40)));
-    }
-    hits_per_mode.push_back(hits);
+  };
+  std::vector<std::unique_ptr<Sub>> subs;
+  Rng sub_rng(5);
+  for (int i = 0; i < 8; ++i) {
+    auto sub = std::make_unique<Sub>();
+    ConjunctiveClause c;
+    double lo = sub_rng.NextInt(-10, 30);
+    c.ConstrainInterval("temp", Interval(lo, false, lo + 10, false));
+    sub->profile.AddFilter(Filter("s", std::move(c)));
+    sub->node = static_cast<NodeId>(sub_rng.NextBounded(20));
+    Sub* raw = sub.get();
+    net.Subscribe(raw->node, raw->profile,
+                  [raw](const std::string&, const Tuple&) { ++raw->hits; });
+    subs.push_back(std::move(sub));
   }
-  EXPECT_GT(hits_per_mode[0], 0);
-  EXPECT_EQ(hits_per_mode[0], hits_per_mode[1]);
+  size_t path_entries = 0;
+  for (const auto& sub : subs) {
+    path_entries += PathEntries(tree, {2, 11}, sub->node);
+  }
+  EXPECT_EQ(net.TotalTableEntries(), path_entries);
+
+  Rng pub_rng(9);
+  std::vector<Datagram> published;
+  for (int i = 0; i < 60; ++i) {
+    NodeId publisher = pub_rng.NextBool() ? 2 : 11;
+    published.push_back(MakeDatagram(pub_rng.NextInt(-10, 40)));
+    net.Publish(publisher, published.back());
+  }
+  int total = 0;
+  for (const auto& sub : subs) {
+    int expected = 0;
+    for (const auto& d : published) {
+      if (sub->profile.Covers(d)) ++expected;
+    }
+    EXPECT_EQ(sub->hits, expected);
+    total += sub->hits;
+  }
+  EXPECT_GT(total, 0);
 }
 
 TEST(Advertisements, PublishersOfTracksAdvertisers) {

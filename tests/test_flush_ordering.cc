@@ -150,5 +150,56 @@ TEST(FlushOrdering, FlushOnlyReachesTheCutOffSide) {
   }
 }
 
+TEST(FlushOrdering, BufferedAtTwoLinksArriveInPublishOrder) {
+  // Two datagrams of one stream stop at two different failed links. After
+  // the repair the later one's stop point is nearer the subscriber than the
+  // earlier one's, so replaying each from its stop point would reorder
+  // them; both re-enter at the publisher instead. Tree 0 - 1 - 2 - 3
+  // (delays 1, 1, 10 ms), publisher 0, subscriber 3; overlay spare edges
+  // 1-3 (1 ms) and 0-3 (5 ms).
+  auto tree = DisseminationTree::FromEdges(
+                  4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 10.0}})
+                  .value();
+  Graph overlay(4);
+  ASSERT_TRUE(overlay.AddEdge(0, 1, 1.0).ok());
+  ASSERT_TRUE(overlay.AddEdge(1, 2, 1.0).ok());
+  ASSERT_TRUE(overlay.AddEdge(2, 3, 10.0).ok());
+  ASSERT_TRUE(overlay.AddEdge(1, 3, 1.0).ok());
+  ASSERT_TRUE(overlay.AddEdge(0, 3, 5.0).ok());
+
+  Simulator sim;
+  ContentBasedNetwork net(std::move(tree), NetworkOptions{}, &sim);
+  std::vector<int64_t> seen;
+  Profile p;
+  p.AddStream("s");
+  net.Subscribe(3, p, [&](const std::string&, const Tuple& t) {
+    seen.push_back(t.value(0).AsInt64());
+  });
+
+  // The earlier datagram stops at 1-2 (far end 2), the later one at 0-1
+  // (far end 1).
+  ASSERT_TRUE(net.FailLink(1, 2).ok());
+  net.Publish(0, SeqDatagram(0, 0));
+  sim.Run();
+  ASSERT_TRUE(net.FailLink(0, 1).ok());
+  net.Publish(0, SeqDatagram(1, 1000));
+  sim.Run();
+  ASSERT_EQ(net.buffered_datagrams(), 2u);
+  EXPECT_TRUE(seen.empty());
+
+  // Repair splices 1-3 and 0-3: the tree becomes a star around 3, 1 ms
+  // from node 1 and 10 ms from node 2.
+  ASSERT_TRUE(net.Repair(overlay).ok());
+  ASSERT_TRUE(net.tree().HasEdge(1, 3));
+  ASSERT_TRUE(net.tree().HasEdge(0, 3));
+  ASSERT_TRUE(net.tree().HasEdge(2, 3));
+  net.Publish(0, SeqDatagram(2, 2000));
+  sim.Run();
+
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 1, 2}));
+  EXPECT_EQ(net.recovered_datagrams(), 2u);
+  EXPECT_EQ(net.lost_datagrams(), 0u);
+}
+
 }  // namespace
 }  // namespace cosmos

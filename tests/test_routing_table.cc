@@ -94,15 +94,6 @@ TEST(RoutingTable, ContainsChecksLinkAndId) {
   EXPECT_FALSE(t.Contains(5, 1));
 }
 
-TEST(RoutingTable, AddUniqueRejectsDuplicateId) {
-  RoutingTable t;
-  EXPECT_TRUE(t.AddUnique(3, 1, MakeProfile(0, 10)));
-  EXPECT_FALSE(t.AddUnique(3, 1, MakeProfile(20, 30)));
-  EXPECT_TRUE(t.AddUnique(5, 1, MakeProfile(0, 10)));
-  EXPECT_EQ(t.TotalEntries(), 2u);
-  EXPECT_TRUE(t.CheckInvariants());
-}
-
 TEST(RoutingTable, BucketForPartitionsByStream) {
   RoutingTable t;
   t.Add(3, 1, MakeProfile(0, 10));

@@ -1,5 +1,6 @@
-// System option matrix: DHT schema directory, advertisement scoping, and
-// early projection exercised end-to-end through CosmosSystem.
+// System option matrix: DHT schema directory and early projection
+// exercised end-to-end through CosmosSystem, plus the size of the
+// advertisement-scoped routing state the system installs.
 
 #include <gtest/gtest.h>
 
@@ -44,18 +45,14 @@ int RunScenario(SystemOptions options) {
 TEST(SystemOptionsMatrix, AllCombinationsDeliverIdentically) {
   std::vector<int> results;
   for (bool dht : {false, true}) {
-    for (bool adv : {false, true}) {
-      for (bool proj : {false, true}) {
-        SystemOptions options;
-        options.directory =
-            dht ? DirectoryMode::kDht : DirectoryMode::kFlooded;
-        options.network.advertisement_scoping = adv;
-        options.network.early_projection = proj;
-        results.push_back(RunScenario(options));
-      }
+    for (bool proj : {false, true}) {
+      SystemOptions options;
+      options.directory = dht ? DirectoryMode::kDht : DirectoryMode::kFlooded;
+      options.network.early_projection = proj;
+      results.push_back(RunScenario(options));
     }
   }
-  ASSERT_EQ(results.size(), 8u);
+  ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0], 20);
   for (int r : results) {
     EXPECT_EQ(r, results[0]);
@@ -74,24 +71,30 @@ TEST(SystemOptionsMatrix, DhtDirectoryChargesLookupHops) {
 }
 
 TEST(SystemOptionsMatrix, AdvertisementScopingShrinksSystemTables) {
-  size_t entries[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    SystemOptions options;
-    options.network.advertisement_scoping = (mode == 1);
-    SensorDatasetOptions sopts;
-    sopts.num_stations = 3;
-    SensorDataset sensors(sopts);
-    CosmosSystem system(ChainTree(12), options);
-    for (int k = 0; k < 3; ++k) {
-      (void)system.RegisterSource(sensors.SchemaOf(k),
-                                  sensors.RatePerStation(), 0);
-    }
-    (void)system.AddProcessor(1);
-    (void)system.SubmitQuery("SELECT ambient_temperature FROM sensor_00", 2,
-                             nullptr);
-    entries[mode] = system.network().TotalTableEntries();
+  // Chain 0 - 1 - ... - 11: sources at 0, processor at 1, user at 2. The
+  // processor's source subscription needs the one link 0->1, the user's
+  // result subscription the one link 1->2: two entries, against 2 × 11 for
+  // two subscriptions flooded over the tree.
+  SensorDatasetOptions sopts;
+  sopts.num_stations = 3;
+  SensorDataset sensors(sopts);
+  CosmosSystem system(ChainTree(12));
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(system
+                    .RegisterSource(sensors.SchemaOf(k),
+                                    sensors.RatePerStation(), 0)
+                    .ok());
   }
-  EXPECT_LT(entries[1], entries[0]);
+  ASSERT_TRUE(system.AddProcessor(1).ok());
+  ASSERT_TRUE(system
+                  .SubmitQuery("SELECT ambient_temperature FROM sensor_00", 2,
+                               nullptr)
+                  .ok());
+  size_t subscriptions = 0;
+  system.network().ForEachSubscription(
+      [&](NodeId, const Profile&) { ++subscriptions; });
+  EXPECT_EQ(subscriptions, 2u);
+  EXPECT_EQ(system.network().TotalTableEntries(), 2u);
 }
 
 }  // namespace
