@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <optional>
 #include <set>
@@ -20,6 +21,7 @@
 #include "cbn/codec.h"
 #include "cbn/covering.h"
 #include "cbn/network.h"
+#include "common/string_util.h"
 #include "core/merger.h"
 #include "core/profile_composer.h"
 #include "overlay/spanning_tree.h"
@@ -373,17 +375,88 @@ BENCHMARK(BM_ForwardWithTelemetry);
 // Models one broker link carrying range(0) routing entries spread over
 // ~range(0)/10 result streams (the large-scale pub/sub shape: many narrow
 // streams, a handful of subscriptions each). The indexed path is the real
-// Router::DecideForward; the linear reference reproduces the seed
+// node-visit decision (DecideForward below: the stream's link list, then
+// Router::Forward); the linear reference reproduces the seed
 // implementation — full per-link entry scan plus a per-datagram
 // std::set<std::string> union — so one run yields the speedup ratio that
 // tools/check_bench.py gates on in BENCH_routing.json.
+//
+// Both indexed benches also report allocs_per_datagram and
+// projecting_share, the share of decisions whose projection changed the
+// attribute set (so a new payload was made). check_bench.py requires the
+// first to be no more than the second: an identity forward allocates
+// nothing, a projecting one at most one.
+
+// The decision a node makes for `payload` (a tuple of `stream`) on `link`:
+// null when nothing is forwarded.
+PayloadRef DecideForward(const Router& router, const PayloadRef& payload,
+                         StreamId stream, NodeId link, PayloadPool& pool) {
+  const RoutingTable::StreamBucket* bucket =
+      router.table().BucketFor(link, stream);
+  if (bucket == nullptr) return PayloadRef();
+  return router.Forward(*bucket, payload, /*early_projection=*/true, pool);
+}
+
+// A decision's input: the datagram (for the reference paths) and its
+// payload and stream id (for the router).
+struct ForwardInput {
+  Datagram datagram;
+  StreamId stream = kNoStream;
+  PayloadRef payload;
+};
+
+// Times `decide(input)` over the inputs round-robin, counting allocations
+// and projecting decisions.
+template <typename Decide>
+void RunForwardBench(benchmark::State& state,
+                     const std::vector<ForwardInput>& inputs, Decide decide) {
+  size_t i = 0;
+  uint64_t projecting = 0;
+  const uint64_t allocs_before = g_allocation_count.load();
+  for (auto _ : state) {
+    const ForwardInput& in = inputs[i++ % inputs.size()];
+    auto out = decide(in);
+    projecting += static_cast<uint64_t>(out.projected);
+    benchmark::DoNotOptimize(out);
+  }
+  const uint64_t allocs = g_allocation_count.load() - allocs_before;
+  const double n =
+      std::max<double>(1.0, static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(state.iterations());
+  state.counters["datagrams_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  state.counters["allocs_per_datagram"] = static_cast<double>(allocs) / n;
+  state.counters["projecting_share"] = static_cast<double>(projecting) / n;
+}
+
+// A router decision as RunForwardBench sees it.
+struct RouterDecision {
+  PayloadRef payload;
+  bool projected = false;
+};
+
+RouterDecision RouterDecide(const Router& router, const ForwardInput& in,
+                            NodeId link, PayloadPool& pool) {
+  PayloadRef out = DecideForward(router, in.payload, in.stream, link, pool);
+  const bool projected = out && out.get() != in.payload.get();
+  return RouterDecision{std::move(out), projected};
+}
+
+// Warms every bucket's plans and the pool over all inputs, so the counted
+// loop sees steady state.
+void WarmUp(const Router& router, const std::vector<ForwardInput>& inputs,
+            NodeId link, PayloadPool& pool) {
+  for (const ForwardInput& in : inputs) {
+    benchmark::DoNotOptimize(RouterDecide(router, in, link, pool));
+  }
+}
 
 struct RoutingForwardFixture {
   static constexpr NodeId kLink = 1;
 
+  PayloadPool pool;  // outlives the payloads below
   Router router{0};
-  ProjectionCache cache;
-  std::vector<Datagram> datagrams;
+  std::vector<ForwardInput> inputs;
 
   explicit RoutingForwardFixture(size_t num_entries) {
     const size_t num_streams = std::max<size_t>(1, num_entries / 10);
@@ -407,76 +480,92 @@ struct RoutingForwardFixture {
       router.table().Add(kLink, static_cast<ProfileId>(i + 1),
                          std::make_shared<const Profile>(std::move(p)));
     }
-    datagrams.reserve(512);
+    inputs.reserve(512);
     for (size_t i = 0; i < 512; ++i) {
       const auto& schema = schemas[rng.NextBounded(num_streams)];
-      datagrams.push_back(
-          Datagram{schema->stream_name(),
-                   Tuple(schema,
-                         {Value(rng.NextDouble(-10, 40)),
-                          Value(rng.NextDouble(0, 100))},
-                         static_cast<Timestamp>(i))});
+      Datagram d{schema->stream_name(),
+                 Tuple(schema,
+                       {Value(rng.NextDouble(-10, 40)),
+                        Value(rng.NextDouble(0, 100))},
+                       static_cast<Timestamp>(i))};
+      const StreamId stream = router.streams()->Intern(d.stream);
+      PayloadRef payload = pool.Make(d);
+      inputs.push_back(ForwardInput{std::move(d), stream, std::move(payload)});
     }
+    WarmUp(router, inputs, kLink, pool);
   }
+};
+
+// The seed's projection: plans cached per (schema, attribute list) under a
+// string key, built on a miss.
+class SeedProjectionCache {
+ public:
+  Datagram Project(const Datagram& d, const std::vector<std::string>& attrs) {
+    std::string key = StrFormat("%p", static_cast<const void*>(
+                                          d.tuple.schema().get()));
+    for (const auto& a : attrs) {
+      key += ',';
+      key += a;
+    }
+    auto it = plans_.find(key);
+    if (it == plans_.end()) {
+      it = plans_.emplace(key, ProjectionPlan::Named(*d.tuple.schema(), attrs))
+               .first;
+    }
+    if (it->second.identity()) return d;
+    return Datagram{d.stream,
+                    d.tuple.Project(it->second.indices, it->second.schema)};
+  }
+
+ private:
+  std::map<std::string, ProjectionPlan> plans_;
+};
+
+// A reference decision as RunForwardBench sees it.
+struct ReferenceDecision {
+  std::optional<Datagram> datagram;
+  bool projected = false;
 };
 
 // The seed implementation of MatchingProfiles + DecideForward, kept as the
 // same-run baseline for the BENCH_routing.json speedup gate.
-std::optional<Datagram> LinearDecideForward(const RoutingTable& table,
-                                            const Datagram& d, NodeId link,
-                                            ProjectionCache& cache) {
+ReferenceDecision LinearDecideForward(const RoutingTable& table,
+                                      const Datagram& d, NodeId link,
+                                      SeedProjectionCache& cache) {
   std::vector<const Profile*> matching;
   for (const auto& e : table.EntriesFor(link)) {
     if (e.profile->Covers(d)) matching.push_back(e.profile.get());
   }
-  if (matching.empty()) return std::nullopt;
+  if (matching.empty()) return {};
   std::set<std::string> needed;
   for (const Profile* p : matching) {
     std::vector<std::string> req = p->RequiredAttributes(d.stream);
-    if (req.empty()) return d;  // wants all attributes
+    if (req.empty()) return {d, false};  // wants all attributes
     needed.insert(req.begin(), req.end());
   }
-  return cache.Project(
-      d, std::vector<std::string>(needed.begin(), needed.end()));
-}
-
-void ReportForwardingCounters(benchmark::State& state, uint64_t allocs) {
-  state.SetItemsProcessed(state.iterations());
-  state.counters["datagrams_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["allocs_per_datagram"] =
-      state.iterations() > 0
-          ? static_cast<double>(allocs) /
-                static_cast<double>(state.iterations())
-          : 0.0;
+  Datagram out =
+      cache.Project(d, std::vector<std::string>(needed.begin(), needed.end()));
+  const bool projected =
+      out.tuple.num_values() != d.tuple.num_values();
+  return {std::move(out), projected};
 }
 
 void BM_RoutingForwardIndexed(benchmark::State& state) {
   RoutingForwardFixture fix(static_cast<size_t>(state.range(0)));
-  size_t i = 0;
-  const uint64_t allocs_before = g_allocation_count.load();
-  for (auto _ : state) {
-    auto out = fix.router.DecideForward(fix.datagrams[i & 511],
-                                        RoutingForwardFixture::kLink,
-                                        /*early_projection=*/true, fix.cache);
-    benchmark::DoNotOptimize(out);
-    ++i;
-  }
-  ReportForwardingCounters(state, g_allocation_count.load() - allocs_before);
+  RunForwardBench(state, fix.inputs, [&](const ForwardInput& in) {
+    return RouterDecide(fix.router, in, RoutingForwardFixture::kLink,
+                        fix.pool);
+  });
 }
 BENCHMARK(BM_RoutingForwardIndexed)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_RoutingForwardLinear(benchmark::State& state) {
   RoutingForwardFixture fix(static_cast<size_t>(state.range(0)));
-  size_t i = 0;
-  const uint64_t allocs_before = g_allocation_count.load();
-  for (auto _ : state) {
-    auto out = LinearDecideForward(fix.router.table(), fix.datagrams[i & 511],
-                                   RoutingForwardFixture::kLink, fix.cache);
-    benchmark::DoNotOptimize(out);
-    ++i;
-  }
-  ReportForwardingCounters(state, g_allocation_count.load() - allocs_before);
+  SeedProjectionCache cache;
+  RunForwardBench(state, fix.inputs, [&](const ForwardInput& in) {
+    return LinearDecideForward(fix.router.table(), in.datagram,
+                               RoutingForwardFixture::kLink, cache);
+  });
 }
 BENCHMARK(BM_RoutingForwardLinear)->Arg(100)->Arg(1000)->Arg(10000);
 
@@ -485,59 +574,46 @@ BENCHMARK(BM_RoutingForwardLinear)->Arg(100)->Arg(1000)->Arg(10000);
 // All range(0) profiles subscribe to the same stream — the shape the
 // stream-partitioned index cannot help with — mixing point equalities on a
 // discrete station id with narrow temperature ranges. BM_MatchCompiled is
-// the real Router::DecideForward with the compiled counting matcher;
+// the real decision with the compiled counting matcher;
 // BM_MatchInterpreted runs InterpretedForward over the same bucket, so one
 // run yields the >=3x ratio tools/check_bench.py gates at 10^4 profiles.
-// The constructor runs a short warm-up so steady state measures matching,
-// not the one-off bucket compile (that tradeoff is charged to the first
-// datagram after any subscription churn).
+// The constructor warms up over every input so steady state measures
+// matching, not the one-off bucket compile (that tradeoff is charged to
+// the first datagram after any subscription churn).
 
 // The interpreted reference decision: a Profile::Covers walk over the
-// (link, stream) bucket into a reused scratch vector, then the same
-// projection union as Router::DecideForward (the bucket's cached union when
-// every slot matched, else a sorted merge of the matching slots').
+// (link, stream) bucket into a reused hit list, then the same projection as
+// Router::Forward (the bucket's plan for the hit slots).
 struct InterpretedForward {
-  std::vector<const RoutingTable::BucketSlot*> matched;
-  std::vector<std::string> attrs;
+  std::vector<uint32_t> hits;
 
-  std::optional<Datagram> operator()(const RoutingTable& table,
-                                     const Datagram& d, NodeId link,
-                                     ProjectionCache& cache) {
-    const RoutingTable::StreamBucket* bucket = table.BucketFor(link, d.stream);
-    if (bucket == nullptr) return std::nullopt;
-    matched.clear();
-    for (const auto& slot : bucket->slots()) {
-      if (slot.profile->Covers(d)) matched.push_back(&slot);
+  RouterDecision operator()(const RoutingTable& table, const ForwardInput& in,
+                            NodeId link, PayloadPool& pool) {
+    const RoutingTable::StreamBucket* bucket =
+        table.BucketFor(link, in.stream);
+    if (bucket == nullptr) return {};
+    hits.clear();
+    const auto& slots = bucket->slots();
+    for (uint32_t i = 0; i < slots.size(); ++i) {
+      if (slots[i].profile->Covers(in.datagram)) hits.push_back(i);
     }
-    if (matched.empty()) return std::nullopt;
-    if (matched.size() == bucket->slots().size()) {
-      bool wants_all = false;
-      const std::vector<std::string>& needed =
-          bucket->UnionRequired(&wants_all);
-      if (wants_all) return d;
-      return cache.Project(d, needed);
-    }
-    attrs.clear();
-    for (const RoutingTable::BucketSlot* slot : matched) {
-      if (slot->required.empty()) return d;  // wants all attributes
-      for (const auto& attr : slot->required) {
-        auto pos = std::lower_bound(attrs.begin(), attrs.end(), attr);
-        if (pos == attrs.end() || *pos != attr) attrs.insert(pos, attr);
-      }
-    }
-    return cache.Project(d, attrs);
+    if (hits.empty()) return {};
+    const ProjectionPlan& plan =
+        bucket->PlanFor(in.payload->tuple().schema(), hits);
+    if (plan.identity()) return {in.payload, false};
+    return {pool.Project(*in.payload, plan), true};
   }
 };
 
 struct MatchBucketFixture {
   static constexpr NodeId kLink = 1;
 
+  PayloadPool pool;  // outlives the payloads below
   Router router{0};
-  ProjectionCache cache;
   InterpretedForward interpreted;
-  std::vector<Datagram> datagrams;
+  std::vector<ForwardInput> inputs;
 
-  MatchBucketFixture(size_t num_profiles, bool compiled) {
+  explicit MatchBucketFixture(size_t num_profiles) {
     Rng rng(7);
     auto schema = std::make_shared<Schema>(
         "sensor",
@@ -560,54 +636,36 @@ struct MatchBucketFixture {
       router.table().Add(kLink, static_cast<ProfileId>(i + 1),
                          std::make_shared<const Profile>(std::move(p)));
     }
-    datagrams.reserve(512);
+    const StreamId stream = router.streams()->Intern("sensor");
+    inputs.reserve(512);
     for (size_t i = 0; i < 512; ++i) {
-      datagrams.push_back(
-          Datagram{"sensor",
-                   Tuple(schema,
-                         {Value(static_cast<int64_t>(rng.NextBounded(500))),
-                          Value(rng.NextDouble(-10, 40)),
-                          Value(rng.NextDouble(0, 100))},
-                         static_cast<Timestamp>(i))});
+      Datagram d{"sensor",
+                 Tuple(schema,
+                       {Value(static_cast<int64_t>(rng.NextBounded(500))),
+                        Value(rng.NextDouble(-10, 40)),
+                        Value(rng.NextDouble(0, 100))},
+                       static_cast<Timestamp>(i))};
+      PayloadRef payload = pool.Make(d);
+      inputs.push_back(ForwardInput{std::move(d), stream, std::move(payload)});
     }
-    for (size_t i = 0; i < 8; ++i) {
-      auto out = compiled
-                     ? router.DecideForward(datagrams[i], kLink,
-                                            /*early_projection=*/true, cache)
-                     : interpreted(router.table(), datagrams[i], kLink, cache);
-      benchmark::DoNotOptimize(out);
-    }
+    WarmUp(router, inputs, kLink, pool);
   }
 };
 
 void BM_MatchCompiled(benchmark::State& state) {
-  MatchBucketFixture fix(static_cast<size_t>(state.range(0)),
-                         /*compiled=*/true);
-  size_t i = 0;
-  const uint64_t allocs_before = g_allocation_count.load();
-  for (auto _ : state) {
-    auto out = fix.router.DecideForward(fix.datagrams[i & 511],
-                                        MatchBucketFixture::kLink,
-                                        /*early_projection=*/true, fix.cache);
-    benchmark::DoNotOptimize(out);
-    ++i;
-  }
-  ReportForwardingCounters(state, g_allocation_count.load() - allocs_before);
+  MatchBucketFixture fix(static_cast<size_t>(state.range(0)));
+  RunForwardBench(state, fix.inputs, [&](const ForwardInput& in) {
+    return RouterDecide(fix.router, in, MatchBucketFixture::kLink, fix.pool);
+  });
 }
 BENCHMARK(BM_MatchCompiled)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_MatchInterpreted(benchmark::State& state) {
-  MatchBucketFixture fix(static_cast<size_t>(state.range(0)),
-                         /*compiled=*/false);
-  size_t i = 0;
-  const uint64_t allocs_before = g_allocation_count.load();
-  for (auto _ : state) {
-    auto out = fix.interpreted(fix.router.table(), fix.datagrams[i & 511],
-                               MatchBucketFixture::kLink, fix.cache);
-    benchmark::DoNotOptimize(out);
-    ++i;
-  }
-  ReportForwardingCounters(state, g_allocation_count.load() - allocs_before);
+  MatchBucketFixture fix(static_cast<size_t>(state.range(0)));
+  RunForwardBench(state, fix.inputs, [&](const ForwardInput& in) {
+    return fix.interpreted(fix.router.table(), in, MatchBucketFixture::kLink,
+                           fix.pool);
+  });
 }
 BENCHMARK(BM_MatchInterpreted)->Arg(100)->Arg(1000)->Arg(10000);
 

@@ -98,18 +98,20 @@ CompiledMatcher::CompiledMatcher(std::string stream,
 
 const std::vector<int32_t>& CompiledMatcher::OffsetsFor(
     const std::shared_ptr<const Schema>& schema) const {
-  auto it = bindings_.find(schema.get());
-  if (it != bindings_.end()) return it->second.offsets;
   // Exactly MatchesCanonical's resolution: an unqualified ColumnRef
   // resolves by plain schema name lookup, absent attributes fail.
-  Binding binding{schema, schema->ResolveOffsets(attr_names_)};
-  return bindings_.emplace(schema.get(), std::move(binding))
-      .first->second.offsets;
+  return bindings_.Get(schema, [&] {
+    std::vector<int32_t> offsets(attr_names_.size());
+    for (size_t a = 0; a < attr_names_.size(); ++a) {
+      auto idx = schema->IndexOf(attr_names_[a]);
+      offsets[a] = idx ? static_cast<int32_t>(*idx) : -1;
+    }
+    return offsets;
+  });
 }
 
-void CompiledMatcher::Match(const Datagram& d, Scratch* scratch,
+void CompiledMatcher::Match(const Tuple& tuple, Scratch* scratch,
                             std::vector<uint32_t>* out) const {
-  COSMOS_DCHECK_EQ(d.stream, stream_) << "matcher consulted for wrong stream";
   out->clear();
   scratch->fallback_evals = 0;
   if (num_profiles_ == 0) return;
@@ -123,8 +125,8 @@ void CompiledMatcher::Match(const Datagram& d, Scratch* scratch,
 
   // Counting stage: one pass over the constrained attributes, bumping each
   // conjunct once per satisfied constraint.
-  const std::vector<int32_t>& offsets = OffsetsFor(d.tuple.schema());
-  const std::vector<Value>& values = d.tuple.values();
+  const std::vector<int32_t>& offsets = OffsetsFor(tuple.schema());
+  const std::vector<Value>& values = tuple.values();
   auto bump = [scratch](uint32_t conjunct) {
     if (scratch->counters[conjunct]++ == 0) {
       scratch->touched.push_back(conjunct);
@@ -159,13 +161,13 @@ void CompiledMatcher::Match(const Datagram& d, Scratch* scratch,
 
   // Gather stage: a conjunct at full arity passed the canonical
   // constraints; evaluate its residual (if any) and emit its profile once.
-  auto emit = [this, scratch, out, &d](uint32_t conjunct) {
+  auto emit = [this, scratch, out, &tuple](uint32_t conjunct) {
     const Conjunct& cj = conjuncts_[conjunct];
     if (scratch->profile_seen[cj.profile]) return;  // disjunction: any hit
     if (cj.residual != nullptr) {
       ++scratch->fallback_evals;
       for (const ExprPtr& r : cj.residual->residual()) {
-        auto res = EvalPredicate(r, d.tuple);
+        auto res = EvalPredicate(r, tuple);
         if (!res.ok() || !*res) return;
       }
     }

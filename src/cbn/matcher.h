@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "cbn/datagram.h"
 #include "cbn/profile.h"
 #include "expr/interval.h"
 
@@ -69,10 +69,10 @@ class CompiledMatcher {
   size_t num_attribute_tables() const { return attrs_.size(); }
 
   // Fills `*out` with the indices (ascending, into the compile-time
-  // profile vector) of the profiles covering `d`. `d.stream` must equal
-  // stream(). Allocation-free once scratch and `*out` have grown to the
-  // bucket's high-water mark.
-  void Match(const Datagram& d, Scratch* scratch,
+  // profile vector) of the profiles covering `tuple`, a tuple of stream().
+  // Allocation-free once scratch and `*out` have grown to the bucket's
+  // high-water mark.
+  void Match(const Tuple& tuple, Scratch* scratch,
              std::vector<uint32_t>* out) const;
 
  private:
@@ -105,21 +105,15 @@ class CompiledMatcher {
     // nullptr when the conjunct has no residual.
     const ConjunctiveClause* residual = nullptr;
   };
-  // Column offsets of attrs_ (aligned; -1 = absent) in one tuple schema.
-  // Retaining the schema makes the by-address cache ABA-safe: no other
-  // schema can be allocated at a cached address while the entry lives.
-  struct Binding {
-    std::shared_ptr<const Schema> schema;
-    std::vector<int32_t> offsets;
-  };
-
+  // Column offsets of attrs_ in `schema` (aligned; -1 = absent), resolved
+  // once per schema.
   const std::vector<int32_t>& OffsetsFor(
       const std::shared_ptr<const Schema>& schema) const;
 
   std::string stream_;
   size_t num_profiles_ = 0;
   std::vector<AttrTable> attrs_;
-  // attrs_[i].name, aligned — the argument to Schema::ResolveOffsets.
+  // attrs_[i].name, aligned: resolved against each schema bound.
   std::vector<std::string> attr_names_;
   std::vector<Conjunct> conjuncts_;
   // Conjuncts with no canonical constraints (arity 0): satisfied by every
@@ -127,7 +121,7 @@ class CompiledMatcher {
   std::vector<uint32_t> zero_arity_;
   // Profiles requesting the stream with no filters at all: unconditional.
   std::vector<uint32_t> unconditional_;
-  mutable std::unordered_map<const Schema*, Binding> bindings_;
+  mutable SchemaMemo<std::vector<int32_t>> bindings_;
 };
 
 }  // namespace cosmos

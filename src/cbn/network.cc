@@ -16,17 +16,20 @@ ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
     : tree_(std::make_shared<const DisseminationTree>(std::move(tree))),
       options_(options),
       sim_(sim),
+      streams_(std::make_shared<StreamIds>()),
       owned_metrics_(std::make_unique<MetricsRegistry>()),
       metrics_(owned_metrics_.get()) {
-  routers_.reserve(tree_->num_nodes());
-  for (NodeId i = 0; i < tree_->num_nodes(); ++i) routers_.emplace_back(i);
+  ReinstallAllSubscriptions();
   BindLedger();
 }
 
 const std::set<NodeId>* ContentBasedNetwork::PublishersOf(
     const std::string& stream) const {
-  auto it = advertisements_.find(stream);
-  return it == advertisements_.end() ? nullptr : &it->second;
+  const StreamId sid = streams_->Find(stream);
+  if (sid >= by_stream_.size() || by_stream_[sid].publishers.empty()) {
+    return nullptr;
+  }
+  return &by_stream_[sid].publishers;
 }
 
 void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
@@ -34,8 +37,10 @@ void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
   // Every count but control messages starts with a publish; a count made
   // before the move would stay behind in the old registry.
   uint64_t counted = control_messages();
-  for (const auto& [stream, sc] : stream_counters_) {
-    counted += sc.published->value();
+  for (const StreamState& st : by_stream_) {
+    if (st.counters.published != nullptr) {
+      counted += st.counters.published->value();
+    }
   }
   COSMOS_CHECK_EQ(counted, 0u)
       << "SetTelemetry after the network counted traffic";
@@ -47,7 +52,7 @@ void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
 }
 
 void ContentBasedNetwork::BindLedger() {
-  stream_counters_.clear();
+  for (StreamState& st : by_stream_) st.counters = StreamCounters{};
   link_counters_.clear();
   forwards_counter_ = metrics_->GetCounter("cbn.forwards");
   forwarded_bytes_counter_ = metrics_->GetCounter("cbn.forwarded_bytes");
@@ -58,11 +63,16 @@ void ContentBasedNetwork::BindLedger() {
   datagram_bytes_hist_ = metrics_->GetHistogram("cbn.datagram_bytes");
 }
 
-ContentBasedNetwork::StreamCounters* ContentBasedNetwork::StreamMetrics(
-    const std::string& stream) {
-  auto it = stream_counters_.find(stream);
-  if (it != stream_counters_.end()) return &it->second;
-  StreamCounters sc;
+ContentBasedNetwork::StreamState& ContentBasedNetwork::State(StreamId stream) {
+  while (by_stream_.size() <= stream) by_stream_.emplace_back();
+  return by_stream_[stream];
+}
+
+ContentBasedNetwork::StreamCounters& ContentBasedNetwork::StreamMetrics(
+    StreamId id) {
+  StreamCounters& sc = State(id).counters;
+  if (sc.published != nullptr) return sc;
+  const std::string& stream = streams_->Name(id);
   sc.published = metrics_->GetCounter("cbn.published", "stream", stream);
   sc.published_bytes =
       metrics_->GetCounter("cbn.published_bytes", "stream", stream);
@@ -75,15 +85,15 @@ ContentBasedNetwork::StreamCounters* ContentBasedNetwork::StreamMetrics(
   sc.forwarded = metrics_->GetCounter("cbn.forwarded", "stream", stream);
   sc.forwarded_bytes =
       metrics_->GetCounter("cbn.forwarded_bytes", "stream", stream);
-  return &stream_counters_.emplace(stream, sc).first->second;
+  return sc;
 }
 
 void ContentBasedNetwork::TraceInstant(const char* name, NodeId node,
                                        NodeId peer, size_t count,
-                                       const Datagram& d) {
+                                       StreamId stream, const Tuple& tuple) {
   std::vector<std::pair<std::string, std::string>> args = {
-      {"stream", Tracer::ArgString(d.stream)},
-      {"ts", std::to_string(d.tuple.timestamp())}};
+      {"stream", Tracer::ArgString(streams_->Name(stream))},
+      {"ts", std::to_string(tuple.timestamp())}};
   if (peer >= 0) args.emplace_back("peer", std::to_string(peer));
   if (count > 0) args.emplace_back("count", std::to_string(count));
   tracer_->Instant("cbn", name, node, std::move(args));
@@ -92,19 +102,25 @@ void ContentBasedNetwork::TraceInstant(const char* name, NodeId node,
 void ContentBasedNetwork::ForEachSubscription(
     const std::function<void(NodeId, const Profile&)>& fn) const {
   for (const auto& [id, sub] : subscriptions_) {
-    fn(sub.node, *sub.profile);
+    fn(sub.node, *sub.prepared->profile);
   }
 }
 
 void ContentBasedNetwork::Advertise(NodeId node, const std::string& stream) {
+  Advertise(node, streams_->Intern(stream));
+}
+
+void ContentBasedNetwork::Advertise(NodeId node, StreamId stream) {
   COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
-  auto& publishers = advertisements_[stream];
-  if (!publishers.insert(node).second) return;  // already advertised
+  if (!State(stream).publishers.insert(node).second) return;  // known
   // A new publisher appeared: existing subscriptions interested in this
   // stream need routing entries along the new publisher->subscriber paths.
   for (const auto& [id, sub] : subscriptions_) {
-    if (!sub.profile->WantsStream(stream)) continue;
-    InstallAlongPath(node, sub.node, id, sub.profile);
+    const std::vector<StreamId>& wanted = sub.prepared->streams;
+    if (std::find(wanted.begin(), wanted.end(), stream) == wanted.end()) {
+      continue;
+    }
+    InstallAlongPath(node, sub.node, id, sub.prepared);
   }
 }
 
@@ -112,16 +128,17 @@ ProfileId ContentBasedNetwork::Subscribe(NodeId node, Profile profile,
                                          DeliveryCallback callback) {
   COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
   ProfileId id = next_profile_id_++;
-  auto shared = std::make_shared<const Profile>(std::move(profile));
-  routers_[node].AddLocal(id, shared, callback);
-  subscriptions_[id] = Subscription{node, shared, std::move(callback)};
-  PropagateSubscription(node, id, shared);
+  auto prepared = RoutingTable::Prepare(
+      std::make_shared<const Profile>(std::move(profile)), *streams_);
+  routers_[node].AddLocal(id, prepared->profile, callback);
+  subscriptions_[id] = Subscription{node, prepared, std::move(callback)};
+  PropagateSubscription(node, id, prepared);
   return id;
 }
 
-void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
-                                           NodeId subscriber, ProfileId id,
-                                           const ProfilePtr& profile) {
+void ContentBasedNetwork::InstallAlongPath(
+    NodeId publisher, NodeId subscriber, ProfileId id,
+    const RoutingTable::PreparedPtr& prepared) {
   auto path = tree_->Path(publisher, subscriber);
   // path runs publisher -> ... -> subscriber; at each intermediate node the
   // entry points to the next hop (toward the subscriber).
@@ -130,20 +147,18 @@ void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
     NodeId toward = path[i + 1];
     RoutingTable& table = routers_[node].table();
     if (!table.Contains(toward, id)) {
-      table.Add(toward, id, profile);
+      table.Add(toward, id, prepared);
       control_counter_->Increment();
     }
   }
 }
 
-void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
-                                                ProfileId id,
-                                                const ProfilePtr& profile) {
-  for (const auto& stream : profile->streams()) {
-    const std::set<NodeId>* publishers = PublishersOf(stream);
-    if (publishers == nullptr) continue;
-    for (NodeId p : *publishers) {
-      InstallAlongPath(p, subscriber, id, profile);
+void ContentBasedNetwork::PropagateSubscription(
+    NodeId subscriber, ProfileId id,
+    const RoutingTable::PreparedPtr& prepared) {
+  for (StreamId stream : prepared->streams) {
+    for (NodeId p : State(stream).publishers) {
+      InstallAlongPath(p, subscriber, id, prepared);
     }
   }
 }
@@ -157,14 +172,13 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
   return true;
 }
 
-void ContentBasedNetwork::AccountLink(NodeId u, NodeId v, const Datagram& d,
-                                      StreamCounters* sc) {
-  size_t size = d.SerializedSize();
+void ContentBasedNetwork::AccountLink(NodeId u, NodeId v, size_t size,
+                                      StreamCounters& sc) {
   forwards_counter_->Increment();
   forwarded_bytes_counter_->Add(size);
   datagram_bytes_hist_->Observe(size);
-  sc->forwarded->Increment();
-  sc->forwarded_bytes->Add(size);
+  sc.forwarded->Increment();
+  sc.forwarded_bytes->Add(size);
   auto key = DisseminationTree::EdgeKey(u, v);
   auto it = link_counters_.find(key);
   if (it == link_counters_.end()) {
@@ -208,25 +222,36 @@ std::vector<bool> ContentBasedNetwork::Unserved(
   return in;
 }
 
-void ContentBasedNetwork::Reroute(const DisseminationTree& old_tree,
-                                  NodeId next, NodeId prev, const Datagram& d,
-                                  const Origin& origin, StreamCounters* sc,
-                                  const std::vector<bool>* allowed) {
-  // The hop left `prev` on a tree that Repair()/RebuildTree() has replaced
-  // since, so `next` may lie on no path of the current tree. It still owes
-  // the nodes on `next`'s side of the old edge: re-enter at the publisher
-  // and deliver only there, exactly like a flushed copy.
-  std::vector<bool> owed = Unserved(old_tree, next, prev, allowed);
+void ContentBasedNetwork::Reroute(const Hop& hop) {
+  // The hop left `hop.from` on a tree that Repair()/RebuildTree() has
+  // replaced since, so `hop.to` may lie on no path of the current tree. It
+  // still owes the nodes on `hop.to`'s side of the old edge: re-enter at the
+  // publisher and deliver only there, exactly like a flushed copy.
+  Owed owed = std::make_shared<const std::vector<bool>>(
+      Unserved(*hop.old_tree, hop.to, hop.from, hop.allowed.get()));
   if (tracer_ != nullptr && tracer_->enabled()) {
-    TraceInstant("reroute", origin.publisher, prev, 0, d);
+    TraceInstant("reroute", hop.origin.publisher, hop.from, 0, hop.stream,
+                 hop.payload->tuple());
   }
-  Process(origin.publisher, /*from=*/-1, d, origin, sc, &owed);
+  Process(hop.origin.publisher, /*from=*/-1, hop.stream, hop.payload,
+          hop.origin, owed);
+}
+
+void ContentBasedNetwork::LandHop(uint32_t handle) {
+  Hop hop = std::move(hops_[handle]);  // leaves the slot's payload null
+  free_hops_.push_back(handle);
+  if (hop.old_tree != nullptr) {
+    Reroute(hop);
+  } else {
+    Process(hop.to, hop.from, hop.stream, hop.payload, hop.origin,
+            hop.allowed);
+  }
 }
 
 size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
-                                    const Datagram& d, const Origin& origin,
-                                    StreamCounters* sc,
-                                    const std::vector<bool>* allowed) {
+                                    StreamId stream,
+                                    const PayloadRef& payload,
+                                    const Origin& origin, const Owed& allowed) {
   // `allowed` marks the nodes that have NOT yet seen this datagram (a
   // post-repair flush into the side a failed link cut off, or a hop
   // rerouted after the tree changed under it). It restricts
@@ -235,23 +260,39 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
   // already-served nodes, so a forwarding restriction would strand the
   // datagram. Served nodes merely relay; only unserved ones deliver.
   const bool traced = tracer_ != nullptr && tracer_->enabled();
+  StreamCounters& sc = StreamMetrics(stream);
+  Router& router = routers_[node];
   size_t delivered = 0;
   if (allowed == nullptr || (*allowed)[node]) {
-    delivered = routers_[node].DeliverLocal(d, projection_cache_);
+    delivered = router.DeliverLocal(stream, *payload);
     if (delivered > 0) {
       deliveries_counter_->Add(delivered);
       // Recovered datagrams are charged to recovery, never steady state.
-      (allowed == nullptr ? sc->delivered : sc->delivered_recovery)
+      (allowed == nullptr ? sc.delivered : sc.delivered_recovery)
           ->Add(delivered);
-      if (traced) TraceInstant("deliver", node, from, delivered, d);
+      if (traced) {
+        TraceInstant("deliver", node, from, delivered, stream,
+                     payload->tuple());
+      }
     }
   }
 
-  for (const auto& [neighbor, weight] : tree_->Neighbors(node)) {
-    if (neighbor == from) continue;
-    std::optional<Datagram> out = routers_[node].DecideForward(
-        d, neighbor, options_.early_projection, projection_cache_);
-    if (!out.has_value()) continue;
+  // Decide every link before sending on any: a synchronous send runs the
+  // next node, whose subscribers' callbacks may change this table. This
+  // visit's sends are sends_[begin, end); a nested visit pushes above them
+  // and may grow the buffer, so each send is moved out before it is used.
+  const size_t begin = sends_.size();
+  for (const RoutingTable::LinkBucket& lb : router.table().LinksFor(stream)) {
+    if (lb.link == from) continue;
+    PayloadRef out = router.Forward(*lb.bucket, payload,
+                                    options_.early_projection, payloads_);
+    if (out) sends_.push_back(Send{lb.link, lb.rank, std::move(out)});
+  }
+  const size_t end = sends_.size();
+
+  for (size_t i = begin; i < end; ++i) {
+    Send send = std::move(sends_[i]);
+    const NodeId neighbor = send.link;
     matches_counter_->Increment();
     if (LinkFailed(node, neighbor)) {
       if (options_.buffer_on_failure) {
@@ -259,70 +300,88 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
         // after Repair() and delivers exactly there, so nobody sees it
         // twice. A flushed copy stopped again keeps only the nodes its flush
         // still owed.
+        if (traced) {
+          TraceInstant("buffer", node, neighbor, 0, stream,
+                       send.payload->tuple());
+        }
         buffered_.push_back(Buffered{
-            origin, Unserved(*tree_, neighbor, node, allowed), *out});
-        sc->buffered->Increment();
-        if (traced) TraceInstant("buffer", node, neighbor, 0, *out);
+            origin, stream,
+            std::make_shared<const std::vector<bool>>(
+                Unserved(*tree_, neighbor, node, allowed.get())),
+            std::move(send.payload)});
+        sc.buffered->Increment();
       } else {
-        sc->dropped->Increment();
-        if (traced) TraceInstant("drop", node, neighbor, 0, *out);
+        sc.dropped->Increment();
+        if (traced) {
+          TraceInstant("drop", node, neighbor, 0, stream,
+                       send.payload->tuple());
+        }
       }
       continue;
     }
     if (allowed == nullptr) {
       // Flush retransmissions travel over the recovery channel and are not
       // charged to the per-link byte counters.
-      AccountLink(node, neighbor, *out, sc);
+      AccountLink(node, neighbor, send.payload->wire_size(), sc);
     } else {
       recovery_forwards_counter_->Increment();
     }
+    const auto& neighbors = tree_->Neighbors(node);
+    COSMOS_DCHECK(send.rank < neighbors.size() &&
+                  neighbors[send.rank].first == neighbor)
+        << "routing entry on node " << node << " for non-neighbor "
+        << neighbor;
+    // Link weight is the delay in milliseconds.
+    const Duration delay =
+        static_cast<Duration>(neighbors[send.rank].second * kMillisecond);
     if (traced) {
       // One slice on the receiving node's row, as long as the link delay.
-      Duration dur = static_cast<Duration>(weight * kMillisecond);
-      tracer_->Complete("cbn", "hop", neighbor, tracer_->Now(), dur,
-                        {{"stream", Tracer::ArgString(out->stream)},
-                         {"ts", std::to_string(out->tuple.timestamp())},
-                         {"peer", std::to_string(node)}});
+      tracer_->Complete(
+          "cbn", "hop", neighbor, tracer_->Now(), delay,
+          {{"stream", Tracer::ArgString(streams_->Name(stream))},
+           {"ts", std::to_string(send.payload->tuple().timestamp())},
+           {"peer", std::to_string(node)}});
     }
     if (sim_ != nullptr) {
-      // Link weight is the delay in milliseconds.
-      Duration delay = static_cast<Duration>(weight * kMillisecond);
-      NodeId next = neighbor;
-      NodeId prev = node;
-      // The component restriction must ride along with the scheduled hop
-      // (by value: the caller's vector dies with the flush), or a
-      // post-repair flush leaks into the healthy side and delivers twice.
-      std::shared_ptr<const std::vector<bool>> allowed_copy;
-      if (allowed != nullptr) {
-        allowed_copy = std::make_shared<const std::vector<bool>>(*allowed);
+      uint32_t handle;
+      if (free_hops_.empty()) {
+        handle = static_cast<uint32_t>(hops_.size());
+        hops_.emplace_back();
+      } else {
+        handle = free_hops_.back();
+        free_hops_.pop_back();
       }
-      // The hop holds the tree it was routed on, so it can tell when it
-      // lands on a replaced one.
-      sim_->Schedule(delay, [this, next, prev, origin, sc, tree = tree_,
-                             copy = std::move(*out), allowed_copy]() {
-        if (tree == tree_) {
-          Process(next, prev, copy, origin, sc, allowed_copy.get());
-        } else {
-          Reroute(*tree, next, prev, copy, origin, sc, allowed_copy.get());
-        }
-      });
+      // The component restriction rides along with the hop, or a
+      // post-repair flush leaks into the healthy side and delivers twice.
+      hops_[handle] = Hop{.to = neighbor,
+                          .from = node,
+                          .stream = stream,
+                          .origin = origin,
+                          .payload = std::move(send.payload),
+                          .allowed = allowed,
+                          .old_tree = nullptr};
+      sim_->Schedule(delay, [this, handle] { LandHop(handle); });
     } else {
-      delivered += Process(neighbor, node, *out, origin, sc, allowed);
+      delivered +=
+          Process(neighbor, node, stream, send.payload, origin, allowed);
     }
   }
+  sends_.resize(begin);
   return delivered;
 }
 
-size_t ContentBasedNetwork::Publish(NodeId node, const Datagram& datagram) {
-  Advertise(node, datagram.stream);
-  StreamCounters* sc = StreamMetrics(datagram.stream);
-  sc->published->Increment();
-  sc->published_bytes->Add(datagram.SerializedSize());
+size_t ContentBasedNetwork::Publish(NodeId node, Datagram datagram) {
+  const StreamId stream = streams_->Intern(datagram.stream);
+  Advertise(node, stream);
+  StreamCounters& sc = StreamMetrics(stream);
+  PayloadRef payload = payloads_.Make(std::move(datagram));
+  sc.published->Increment();
+  sc.published_bytes->Add(payload->wire_size());
   if (tracer_ != nullptr && tracer_->enabled()) {
-    TraceInstant("publish", node, -1, 0, datagram);
+    TraceInstant("publish", node, -1, 0, stream, payload->tuple());
   }
-  return Process(node, /*from=*/-1, datagram,
-                 Origin{node, next_publish_seq_++}, sc);
+  return Process(node, /*from=*/-1, stream, payload,
+                 Origin{node, next_publish_seq_++});
 }
 
 Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
@@ -333,16 +392,30 @@ Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
   return Status::OK();
 }
 
+void ContentBasedNetwork::ReplaceTree(DisseminationTree tree) {
+  std::shared_ptr<const DisseminationTree> old = std::move(tree_);
+  tree_ = std::make_shared<const DisseminationTree>(std::move(tree));
+  for (Hop& hop : hops_) {
+    // A hop keeps the tree it was routed on across later replacements.
+    if (hop.payload && hop.old_tree == nullptr) hop.old_tree = old;
+  }
+}
+
 void ContentBasedNetwork::ReinstallAllSubscriptions() {
-  for (auto& r : routers_) {
-    // A fresh Router drops its telemetry handles with the routing state;
-    // re-apply them or rebuilds would silently stop counting.
-    r = Router(r.id());
-    r.SetTelemetry(attached_metrics_);
+  routers_.resize(tree_->num_nodes());
+  for (NodeId i = 0; i < tree_->num_nodes(); ++i) {
+    // Each router lists its links in the tree's neighbor order, so a node
+    // visit forwards in that order.
+    std::vector<NodeId> links;
+    for (const auto& [v, w] : tree_->Neighbors(i)) links.push_back(v);
+    routers_[i] = Router(i, streams_, std::move(links));
+    // A fresh Router has no telemetry handles; re-apply them or rebuilds
+    // would silently stop counting.
+    routers_[i].SetTelemetry(attached_metrics_);
   }
   for (const auto& [id, sub] : subscriptions_) {
-    routers_[sub.node].AddLocal(id, sub.profile, sub.callback);
-    PropagateSubscription(sub.node, id, sub.profile);
+    routers_[sub.node].AddLocal(id, sub.prepared->profile, sub.callback);
+    PropagateSubscription(sub.node, id, sub.prepared);
   }
 }
 
@@ -389,7 +462,7 @@ Status ContentBasedNetwork::Repair(const Graph& overlay) {
 
   COSMOS_ASSIGN_OR_RETURN(DisseminationTree repaired,
                           DisseminationTree::FromEdges(num_nodes(), edges));
-  tree_ = std::make_shared<const DisseminationTree>(std::move(repaired));
+  ReplaceTree(std::move(repaired));
   failed_links_.clear();
   PruneStaleLinkStats();
   ReinstallAllSubscriptions();
@@ -401,7 +474,7 @@ Status ContentBasedNetwork::RebuildTree(DisseminationTree tree) {
   if (tree.num_nodes() != num_nodes()) {
     return Status::InvalidArgument("tree node count mismatch");
   }
-  tree_ = std::make_shared<const DisseminationTree>(std::move(tree));
+  ReplaceTree(std::move(tree));
   failed_links_.clear();
   PruneStaleLinkStats();
   ReinstallAllSubscriptions();
@@ -427,13 +500,13 @@ void ContentBasedNetwork::FlushBuffered() {
                      return a.origin.seq < b.origin.seq;
                    });
   for (const Buffered& b : pending) {
-    StreamCounters* sc = StreamMetrics(b.datagram.stream);
-    sc->flushed->Increment();
+    StreamMetrics(b.stream).flushed->Increment();
     if (tracer_ != nullptr && tracer_->enabled()) {
-      TraceInstant("recover", b.origin.publisher, -1, 0, b.datagram);
+      TraceInstant("recover", b.origin.publisher, -1, 0, b.stream,
+                   b.payload->tuple());
     }
-    Process(b.origin.publisher, /*from=*/-1, b.datagram, b.origin, sc,
-            &b.allowed);
+    Process(b.origin.publisher, /*from=*/-1, b.stream, b.payload, b.origin,
+            b.allowed);
   }
 }
 
@@ -462,8 +535,11 @@ ContentBasedNetwork::link_stats() const {
 
 TrafficByStream ContentBasedNetwork::published_by_stream() const {
   TrafficByStream out;
-  for (const auto& [stream, sc] : stream_counters_) {
-    out[stream] = {sc.published->value(), sc.published_bytes->value()};
+  for (StreamId id = 0; id < by_stream_.size(); ++id) {
+    const StreamCounters& sc = by_stream_[id].counters;
+    if (sc.published == nullptr) continue;
+    out[streams_->Name(id)] = {sc.published->value(),
+                               sc.published_bytes->value()};
   }
   return out;
 }
@@ -484,16 +560,16 @@ TrafficByStream TrafficSince(const TrafficByStream& later,
 
 uint64_t ContentBasedNetwork::lost_datagrams() const {
   uint64_t total = 0;
-  for (const auto& [stream, sc] : stream_counters_) {
-    total += sc.dropped->value();
+  for (const StreamState& st : by_stream_) {
+    if (st.counters.dropped != nullptr) total += st.counters.dropped->value();
   }
   return total;
 }
 
 uint64_t ContentBasedNetwork::recovered_datagrams() const {
   uint64_t total = 0;
-  for (const auto& [stream, sc] : stream_counters_) {
-    total += sc.flushed->value();
+  for (const StreamState& st : by_stream_) {
+    if (st.counters.flushed != nullptr) total += st.counters.flushed->value();
   }
   return total;
 }
@@ -520,7 +596,9 @@ void ContentBasedNetwork::ResetStats() {
     c->Reset();
   }
   datagram_bytes_hist_->Reset();
-  for (auto& [stream, sc] : stream_counters_) {
+  for (StreamState& st : by_stream_) {
+    const StreamCounters& sc = st.counters;
+    if (sc.published == nullptr) continue;
     for (Counter* c : {sc.published, sc.published_bytes, sc.delivered,
                        sc.delivered_recovery, sc.buffered, sc.flushed,
                        sc.dropped, sc.forwarded, sc.forwarded_bytes}) {

@@ -1,6 +1,7 @@
 #ifndef COSMOS_CBN_NETWORK_H_
 #define COSMOS_CBN_NETWORK_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -55,14 +56,23 @@ struct NetworkOptions {
 // datagram along the tree links whose entries cover it (reverse-path
 // content routing).
 //
+// Inside the network a datagram travels as a stream id plus a shared
+// payload (the tuple and its wire size). A node visit reads the routing
+// table's link list for the stream once, and a hop that keeps every
+// attribute forwards the same payload without copying it.
+//
 // When a Simulator is attached, forwarding hops are scheduled with the link
-// delay (edge weight, interpreted as milliseconds); otherwise delivery is
-// synchronous and immediate.
+// delay (edge weight, interpreted as milliseconds): the hop is kept in the
+// network's in-flight list and the scheduled callback carries only its
+// index, small enough for std::function to hold without allocating.
+// Otherwise delivery is synchronous and immediate.
 class ContentBasedNetwork {
  public:
   explicit ContentBasedNetwork(DisseminationTree tree,
                                NetworkOptions options = {},
                                Simulator* sim = nullptr);
+  ContentBasedNetwork(const ContentBasedNetwork&) = delete;
+  ContentBasedNetwork& operator=(const ContentBasedNetwork&) = delete;
 
   const DisseminationTree& tree() const { return *tree_; }
   int num_nodes() const { return tree_->num_nodes(); }
@@ -86,7 +96,7 @@ class ContentBasedNetwork {
   // result stream), advertising the stream from `node` first if needed.
   // Returns the number of local deliveries performed (synchronous mode) or
   // scheduled so far (simulated mode).
-  size_t Publish(NodeId node, const Datagram& datagram);
+  size_t Publish(NodeId node, Datagram datagram);
 
   // ---- fault tolerance (data-layer module of paper Figure 2) ----
 
@@ -169,7 +179,7 @@ class ContentBasedNetwork {
  private:
   struct Subscription {
     NodeId node = -1;
-    ProfilePtr profile;
+    RoutingTable::PreparedPtr prepared;  // the profile, indexed once
     DeliveryCallback callback;
   };
 
@@ -181,12 +191,37 @@ class ContentBasedNetwork {
     uint64_t seq = 0;
   };
 
+  // Nodes a recovering datagram still owes delivery to (see Process);
+  // shared by every hop of one flush or reroute.
+  using Owed = std::shared_ptr<const std::vector<bool>>;
+
+  // One datagram crossing one link under the simulator, from `from` to
+  // `to`: kept in hops_ while in flight, its index in the scheduled event.
+  struct Hop {
+    NodeId to = -1;
+    NodeId from = -1;
+    StreamId stream = kNoStream;
+    Origin origin;
+    PayloadRef payload;  // null: the slot is free
+    Owed allowed;
+    // The tree the hop was routed on, set when Repair()/RebuildTree()
+    // replaced it while the hop was in flight.
+    std::shared_ptr<const DisseminationTree> old_tree;
+  };
+
+  // A forwarding decision of one node visit, sent once all are made.
+  struct Send {
+    NodeId link = -1;
+    uint32_t rank = 0;
+    PayloadRef payload;
+  };
+
   void PropagateSubscription(NodeId subscriber, ProfileId id,
-                             const ProfilePtr& profile);
+                             const RoutingTable::PreparedPtr& prepared);
   // Installs routing entries for one subscription along the tree path from
   // `publisher` to `subscriber`; every new entry is one control message.
   void InstallAlongPath(NodeId publisher, NodeId subscriber, ProfileId id,
-                        const ProfilePtr& profile);
+                        const RoutingTable::PreparedPtr& prepared);
   // Cached handles of the stream-labeled counter families. Created lazily
   // on the first datagram of each stream, then plain pointer adds.
   struct StreamCounters {
@@ -200,44 +235,54 @@ class ContentBasedNetwork {
     Counter* forwarded = nullptr;
     Counter* forwarded_bytes = nullptr;
   };
-  StreamCounters* StreamMetrics(const std::string& stream);
+  // Per-stream state, indexed by StreamId.
+  struct StreamState {
+    std::set<NodeId> publishers;  // advertisements
+    StreamCounters counters;      // unbound (null) until first counted
+  };
+  StreamState& State(StreamId stream);
+  // The stream's counters, bound on first use.
+  StreamCounters& StreamMetrics(StreamId stream);
+  void Advertise(NodeId node, StreamId stream);
+  // Lands the in-flight hop `handle` at its receiving node.
+  void LandHop(uint32_t handle);
   struct LinkCounters {
     Counter* datagrams = nullptr;
     Counter* bytes = nullptr;
   };
-  // Processes `d`, published as `origin`, at `node` arriving from `from`
-  // (-1 = entering at its publisher); `sc` is the stream's counters, looked
-  // up once per publish or flush. When `allowed` is non-null, *delivery* is
-  // restricted to nodes with allowed[v] == true (a post-repair flush or a
-  // rerouted hop); forwarding is unrestricted so the copy can route through
-  // already-served nodes on the current tree.
-  size_t Process(NodeId node, NodeId from, const Datagram& d,
-                 const Origin& origin, StreamCounters* sc,
-                 const std::vector<bool>* allowed = nullptr);
+  // Processes `payload`, a tuple of `stream` published as `origin`, at
+  // `node` arriving from `from` (-1 = entering at its publisher). When
+  // `allowed` is non-null, *delivery* is restricted to nodes with
+  // allowed[v] == true (a post-repair flush or a rerouted hop); forwarding
+  // is unrestricted so the copy can route through already-served nodes on
+  // the current tree.
+  size_t Process(NodeId node, NodeId from, StreamId stream,
+                 const PayloadRef& payload, const Origin& origin,
+                 const Owed& allowed = nullptr);
   // Resolves the total-count handles in metrics_ and forgets the per-stream
   // and per-link ones (re-created on first use).
   void BindLedger();
   // Records a CBN instant on `node`'s row of the Chrome trace: the stream,
   // the tuple's event time, and `peer` (-1: none) and `count` when set.
   void TraceInstant(const char* name, NodeId node, NodeId peer, size_t count,
-                    const Datagram& d);
+                    StreamId stream, const Tuple& tuple);
   // Membership of `start`'s side of the edge (blocked_from, start) of
   // `tree`, intersected with `allowed` when non-null — the nodes a datagram
   // stopped at that edge still owes delivery to.
   std::vector<bool> Unserved(const DisseminationTree& tree, NodeId start,
                              NodeId blocked_from,
                              const std::vector<bool>* allowed) const;
-  // Finishes a hop from `prev` to `next` routed on `old_tree`, which
-  // Repair()/RebuildTree() has replaced since: re-enters `d` at its
-  // publisher, delivering only on `next`'s side of the old edge.
-  void Reroute(const DisseminationTree& old_tree, NodeId next, NodeId prev,
-               const Datagram& d, const Origin& origin, StreamCounters* sc,
-               const std::vector<bool>* allowed);
-  void AccountLink(NodeId u, NodeId v, const Datagram& d,
-                   StreamCounters* sc);
+  // Finishes `hop`, routed on `hop.old_tree`, which Repair()/RebuildTree()
+  // has replaced since: re-enters it at its publisher, delivering only on
+  // `hop.to`'s side of the old edge.
+  void Reroute(const Hop& hop);
+  void AccountLink(NodeId u, NodeId v, size_t bytes, StreamCounters& sc);
   bool LinkFailed(NodeId u, NodeId v) const {
     return failed_links_.count(DisseminationTree::EdgeKey(u, v)) > 0;
   }
+  // Makes `tree` the current tree; the hops in flight on the old one will
+  // re-enter at their publishers (see Reroute).
+  void ReplaceTree(DisseminationTree tree);
   // Clears all routing state and reinstalls every live subscription.
   void ReinstallAllSubscriptions();
   // Re-enters every buffered datagram at its publisher, in publish order,
@@ -250,28 +295,38 @@ class ContentBasedNetwork {
   // keys at the fallback weight and a returning link restarts at zero.
   void PruneStaleLinkStats();
 
-  // Shared with the hops in flight on it (see Reroute).
+  // Handed to the hops in flight when it is replaced (see Reroute).
   std::shared_ptr<const DisseminationTree> tree_;
   NetworkOptions options_;
   Simulator* sim_;
+  // Shared by the routers: stream names interned once.
+  std::shared_ptr<StreamIds> streams_;
   std::vector<Router> routers_;
-  ProjectionCache projection_cache_;
   ProfileId next_profile_id_ = 1;
   uint64_t next_publish_seq_ = 0;
 
   std::map<ProfileId, Subscription> subscriptions_;
-  std::map<std::string, std::set<NodeId>> advertisements_;
   std::set<std::pair<NodeId, NodeId>> failed_links_;
+  // Declared before every holder of a PayloadRef, so it outlives them.
+  PayloadPool payloads_;
   struct Buffered {
     Origin origin;
+    StreamId stream = kNoStream;
     // Nodes on the far side of the failed link at buffer time — the ones
     // that have not seen the datagram. Flushing delivers only to them.
-    std::vector<bool> allowed;
+    Owed allowed;
     // The copy projected for the failed link: it keeps every attribute the
     // far side's profiles on that link need.
-    Datagram datagram;
+    PayloadRef payload;
   };
   std::vector<Buffered> buffered_;
+  // Hops in flight under the simulator; free slots are listed in free_hops_.
+  std::vector<Hop> hops_;
+  std::vector<uint32_t> free_hops_;
+  // Process's decisions, used as a stack: a visit appends its sends above
+  // those of the visits it is nested in (a synchronous send re-enters
+  // Process) and truncates back to where it began.
+  std::vector<Send> sends_;
 
   // The ledger lives in metrics_: the attached registry, else owned_metrics_.
   // Routers get only the attached one (attached_metrics_), so their sampled
@@ -280,7 +335,8 @@ class ContentBasedNetwork {
   MetricsRegistry* metrics_ = nullptr;
   MetricsRegistry* attached_metrics_ = nullptr;
   Tracer* tracer_ = nullptr;
-  std::map<std::string, StreamCounters> stream_counters_;
+  // StreamId -> state; a deque, so references survive new streams.
+  std::deque<StreamState> by_stream_;
   std::map<std::pair<NodeId, NodeId>, LinkCounters> link_counters_;
   Counter* forwards_counter_ = nullptr;
   Counter* forwarded_bytes_counter_ = nullptr;

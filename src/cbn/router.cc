@@ -5,67 +5,26 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace cosmos {
 
-const ProjectionCache::Plan& ProjectionCache::PlanFor(
-    const std::shared_ptr<const Schema>& schema_ptr,
-    const std::vector<std::string>& attrs) {
-  const Schema& schema = *schema_ptr;
-  Key key{schema_ptr, StrJoin(attrs, ",")};
-  auto it = plans_.find(key);
-  if (it != plans_.end()) return it->second;
+Router::Router(NodeId id, std::shared_ptr<StreamIds> streams,
+               std::vector<NodeId> links)
+    : id_(id), table_(std::move(streams), std::move(links)) {}
 
-  Plan plan;
-  if (attrs.empty()) {
-    plan.identity = true;
-  } else {
-    std::vector<AttributeDef> defs;
-    // Preserve the source schema's attribute order.
-    for (size_t i = 0; i < schema.num_attributes(); ++i) {
-      const auto& def = schema.attribute(i);
-      if (std::find(attrs.begin(), attrs.end(), def.name) != attrs.end()) {
-        plan.indices.push_back(i);
-        defs.push_back(def);
-      }
-    }
-    if (plan.indices.size() == schema.num_attributes()) {
-      plan.identity = true;
-    } else {
-      plan.schema = std::make_shared<Schema>(schema.stream_name(),
-                                             std::move(defs));
-    }
+void Router::IndexLocal(size_t index) {
+  for (const auto& stream : local_profiles_[index].second->streams()) {
+    LocalStream& ls = local_by_stream_[streams()->Intern(stream)];
+    ls.subscribers.push_back(LocalSubscriber{index, {}});
+    ls.matcher.reset();
   }
-  return plans_.emplace(std::move(key), std::move(plan)).first->second;
-}
-
-Datagram ProjectionCache::Project(const Datagram& d,
-                                  const std::vector<std::string>& attrs) {
-  const Plan& plan = PlanFor(d.tuple.schema(), attrs);
-  if (plan.identity) return d;
-  return Datagram{d.stream, d.tuple.Project(plan.indices, plan.schema)};
 }
 
 void Router::AddLocal(ProfileId id, ProfilePtr profile,
                       DeliveryCallback callback) {
-  size_t index = local_profiles_.size();
-  for (const auto& stream : profile->streams()) {
-    local_by_stream_[stream].push_back(index);
-  }
   local_profiles_.emplace_back(id, std::move(profile));
   local_callbacks_.push_back(std::move(callback));
-  local_matchers_.clear();
-}
-
-void Router::ReindexLocals() {
-  local_by_stream_.clear();
-  for (size_t i = 0; i < local_profiles_.size(); ++i) {
-    for (const auto& stream : local_profiles_[i].second->streams()) {
-      local_by_stream_[stream].push_back(i);
-    }
-  }
-  local_matchers_.clear();
+  IndexLocal(local_profiles_.size() - 1);
 }
 
 void Router::SetTelemetry(MetricsRegistry* metrics) {
@@ -80,27 +39,35 @@ void Router::SetTelemetry(MetricsRegistry* metrics) {
   match_time_ns_ = metrics->GetHistogram("cbn.match_ns");
 }
 
-const CompiledMatcher& Router::LocalMatcher(
-    const std::string& stream, const std::vector<size_t>& indices) {
-  auto it = local_matchers_.find(stream);
-  if (it != local_matchers_.end()) return *it->second;
+const CompiledMatcher& Router::LocalMatcher(LocalStream& ls,
+                                            const std::string& stream) {
+  if (ls.matcher != nullptr) return *ls.matcher;
   std::vector<const Profile*> profiles;
-  profiles.reserve(indices.size());
-  for (size_t i : indices) profiles.push_back(local_profiles_[i].second.get());
+  profiles.reserve(ls.subscribers.size());
+  for (const LocalSubscriber& sub : ls.subscribers) {
+    profiles.push_back(local_profiles_[sub.index].second.get());
+  }
   if (matcher_compiles_ != nullptr) matcher_compiles_->Increment();
-  return *local_matchers_
-              .emplace(stream,
-                       std::make_unique<CompiledMatcher>(stream, profiles))
-              .first->second;
+  ls.matcher = std::make_unique<CompiledMatcher>(stream, profiles);
+  return *ls.matcher;
 }
 
-void Router::MatchCompiled(const CompiledMatcher& m, const Datagram& d,
+const ProjectionPlan& Router::LastHopPlan(
+    LocalSubscriber& sub, const std::string& stream,
+    const std::shared_ptr<const Schema>& input) {
+  return sub.plans.Get(input, [&] {
+    const Profile& p = *local_profiles_[sub.index].second;
+    return ProjectionPlan::Named(*input, p.ProjectionOf(stream));
+  });
+}
+
+void Router::MatchCompiled(const CompiledMatcher& m, const Tuple& tuple,
                            std::vector<uint32_t>* hits) const {
   const bool timed =
       match_time_ns_ != nullptr && (match_sample_++ & 63) == 0;
   std::chrono::steady_clock::time_point start;
   if (timed) start = std::chrono::steady_clock::now();
-  m.Match(d, &matcher_scratch_, hits);
+  m.Match(tuple, &matcher_scratch_, hits);
   if (timed) {
     match_time_ns_->Observe(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -113,49 +80,73 @@ void Router::MatchCompiled(const CompiledMatcher& m, const Datagram& d,
 }
 
 bool Router::RemoveLocal(ProfileId id) {
-  for (size_t i = 0; i < local_profiles_.size(); ++i) {
-    if (local_profiles_[i].first == id) {
-      local_profiles_.erase(local_profiles_.begin() + static_cast<long>(i));
-      local_callbacks_.erase(local_callbacks_.begin() +
-                             static_cast<long>(i));
-      ReindexLocals();
-      return true;
+  auto pit = std::find_if(local_profiles_.begin(), local_profiles_.end(),
+                          [id](const auto& p) { return p.first == id; });
+  if (pit == local_profiles_.end()) return false;
+  const size_t index = static_cast<size_t>(pit - local_profiles_.begin());
+  for (const auto& stream : pit->second->streams()) {
+    auto it = local_by_stream_.find(streams()->Find(stream));
+    COSMOS_DCHECK(it != local_by_stream_.end()) << "unindexed " << stream;
+    std::erase_if(it->second.subscribers, [index](const LocalSubscriber& s) {
+      return s.index == index;
+    });
+    it->second.matcher.reset();
+    if (it->second.subscribers.empty()) local_by_stream_.erase(it);
+  }
+  // Later subscribers shift down one; every other stream keeps its
+  // matcher and plans.
+  for (auto& [sid, ls] : local_by_stream_) {
+    for (LocalSubscriber& sub : ls.subscribers) {
+      if (sub.index > index) --sub.index;
     }
   }
-  return false;
+  local_profiles_.erase(pit);
+  local_callbacks_.erase(local_callbacks_.begin() +
+                         static_cast<long>(index));
+  return true;
 }
 
-size_t Router::DeliverLocal(const Datagram& d, ProjectionCache& cache) {
-  auto it = local_by_stream_.find(d.stream);
+size_t Router::DeliverLocal(StreamId stream, const Payload& payload) {
+  auto it = local_by_stream_.find(stream);
   if (it == local_by_stream_.end()) return 0;
-  const CompiledMatcher& m = LocalMatcher(d.stream, it->second);
+  const Tuple& tuple = payload.tuple();
+  const std::string& name = streams()->Name(stream);
+  // Element references survive the map's rehash when a callback subscribes.
+  LocalStream& ls = it->second;
+  const CompiledMatcher& m = LocalMatcher(ls, name);
   // Take the reusable hit buffer for the duration of the callbacks: a
   // callback that publishes re-enters this router and must not clobber
   // the list being delivered (it finds the member empty and regrows).
   std::vector<uint32_t> hits;
   std::swap(hits, local_hit_scratch_);
-  MatchCompiled(m, d, &hits);
+  MatchCompiled(m, tuple, &hits);
 #ifndef NDEBUG
   {
     // Compiled output must equal the interpreted walk, slot by slot.
+    const Datagram d{name, tuple};
+    const auto& subs = ls.subscribers;
     size_t k = 0;
-    for (size_t j = 0; j < it->second.size(); ++j) {
-      const bool interpreted = local_profiles_[it->second[j]].second->Covers(d);
+    for (size_t j = 0; j < subs.size(); ++j) {
+      const auto& [id, profile] = local_profiles_[subs[j].index];
+      const bool interpreted = profile->Covers(d);
       const bool compiled = k < hits.size() && hits[k] == j;
       COSMOS_DCHECK_EQ(compiled, interpreted)
-          << "compiled/interpreted divergence for local subscriber "
-          << local_profiles_[it->second[j]].first << " on " << d.stream;
+          << "compiled/interpreted divergence for local subscriber " << id
+          << " on " << name;
       if (compiled) ++k;
     }
   }
 #endif
   for (uint32_t h : hits) {
-    const size_t i = it->second[h];
-    const Profile& p = *local_profiles_[i].second;
+    LocalSubscriber& sub = ls.subscribers[h];
+    const size_t i = sub.index;
+    if (!local_callbacks_[i]) continue;
     // Last-hop projection: the subscriber receives exactly P(stream).
-    Datagram out = cache.Project(d, p.ProjectionOf(d.stream));
-    if (local_callbacks_[i]) {
-      local_callbacks_[i](out.stream, out.tuple);
+    const ProjectionPlan& plan = LastHopPlan(sub, name, tuple.schema());
+    if (plan.identity()) {
+      local_callbacks_[i](name, tuple);
+    } else {
+      local_callbacks_[i](name, tuple.Project(plan.indices, plan.schema));
     }
   }
   const size_t delivered = hits.size();
@@ -164,63 +155,40 @@ size_t Router::DeliverLocal(const Datagram& d, ProjectionCache& cache) {
   return delivered;
 }
 
-std::optional<Datagram> Router::DecideForward(const Datagram& d, NodeId link,
-                                              bool early_projection,
-                                              ProjectionCache& cache) const {
-  const RoutingTable::StreamBucket* bucket = table_.BucketFor(link, d.stream);
-  if (bucket == nullptr) return std::nullopt;
-  match_scratch_.clear();
-  const std::vector<RoutingTable::BucketSlot>& slots = bucket->slots();
-  const bool was_compiled = bucket->has_compiled();
-  const CompiledMatcher& m = bucket->Compiled(d.stream);
+PayloadRef Router::Forward(const RoutingTable::StreamBucket& bucket,
+                           const PayloadRef& payload, bool early_projection,
+                           PayloadPool& pool) const {
+  const bool was_compiled = bucket.has_compiled();
+  const CompiledMatcher& m = bucket.Compiled();
   if (!was_compiled && matcher_compiles_ != nullptr) {
     matcher_compiles_->Increment();
   }
-  MatchCompiled(m, d, &hit_scratch_);
+  const Tuple& tuple = payload->tuple();
+  MatchCompiled(m, tuple, &hit_scratch_);
 #ifndef NDEBUG
   {
     // Compiled output must equal the interpreted walk, slot by slot.
+    const Datagram d{bucket.stream(), tuple};
+    const std::vector<RoutingTable::BucketSlot>& slots = bucket.slots();
     size_t k = 0;
     for (size_t i = 0; i < slots.size(); ++i) {
       const bool interpreted = slots[i].profile->Covers(d);
       const bool compiled = k < hit_scratch_.size() && hit_scratch_[k] == i;
       COSMOS_DCHECK_EQ(compiled, interpreted)
           << "compiled/interpreted divergence at slot " << i << " (entry "
-          << slots[i].id << ") on stream " << d.stream;
+          << slots[i].id << ") on stream " << bucket.stream();
       if (compiled) ++k;
     }
   }
 #endif
-  for (uint32_t h : hit_scratch_) match_scratch_.push_back(&slots[h]);
-  if (match_scratch_.empty()) return std::nullopt;
-  if (!early_projection) return d;
-
-  // Union of the attributes any matching downstream profile still needs
-  // (its projection set plus its filters' attributes, so re-evaluation at
-  // later hops stays possible). Any profile wanting all attributes disables
-  // projection on this link. When every bucket entry matched — the common
-  // case for stream-level subscriptions — the bucket's cached union is the
-  // answer and nothing is rebuilt.
-  if (match_scratch_.size() == bucket->slots().size()) {
-    bool wants_all = false;
-    const std::vector<std::string>& needed = bucket->UnionRequired(&wants_all);
-    if (wants_all) return d;
-    return cache.Project(d, needed);
-  }
-  attr_scratch_.clear();
-  for (const RoutingTable::BucketSlot* slot : match_scratch_) {
-    if (slot->required.empty()) return d;  // wants all attributes
-    // Slot `required` sets are sorted; merge-insert keeps the union sorted
-    // so equal attribute sets share one projection-cache plan.
-    for (const auto& attr : slot->required) {
-      auto pos = std::lower_bound(attr_scratch_.begin(), attr_scratch_.end(),
-                                  attr);
-      if (pos == attr_scratch_.end() || *pos != attr) {
-        attr_scratch_.insert(pos, attr);
-      }
-    }
-  }
-  return cache.Project(d, attr_scratch_);
+  if (hit_scratch_.empty()) return PayloadRef();
+  if (!early_projection) return payload;
+  // The attributes any matching downstream profile still needs (its
+  // projection set plus its filters' attributes, so re-evaluation at later
+  // hops stays possible); a profile wanting all attributes keeps them all.
+  const ProjectionPlan& plan = bucket.PlanFor(tuple.schema(), hit_scratch_);
+  if (plan.identity()) return payload;
+  return pool.Project(*payload, plan);
 }
 
 }  // namespace cosmos

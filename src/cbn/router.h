@@ -17,55 +17,22 @@ namespace cosmos {
 using DeliveryCallback =
     std::function<void(const std::string& stream, const Tuple& tuple)>;
 
-// Projects `d.tuple` onto `attrs` (schema attribute order preserved;
-// attributes missing from the current schema — already projected away
-// upstream — are skipped). Empty attrs = identity. Schemas are cached per
-// (source schema, attribute set) in `cache` to keep the hot path cheap.
-class ProjectionCache {
- public:
-  Datagram Project(const Datagram& d, const std::vector<std::string>& attrs);
-
- private:
-  // The key RETAINS the source schema: entries are looked up by address,
-  // and holding the shared_ptr guarantees no other schema can ever be
-  // allocated at a cached address (an address reuse would silently apply a
-  // stale plan built for a different layout).
-  struct Key {
-    std::shared_ptr<const Schema> schema;
-    std::string attrs_key;
-    bool operator==(const Key& other) const {
-      return schema.get() == other.schema.get() &&
-             attrs_key == other.attrs_key;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return std::hash<const void*>{}(k.schema.get()) ^
-             std::hash<std::string>{}(k.attrs_key);
-    }
-  };
-  struct Plan {
-    std::shared_ptr<const Schema> schema;
-    std::vector<size_t> indices;
-    bool identity = false;
-  };
-
-  const Plan& PlanFor(const std::shared_ptr<const Schema>& schema,
-                      const std::vector<std::string>& attrs);
-
-  std::unordered_map<Key, Plan, KeyHash> plans_;
-};
-
 // One CBN node: the per-link routing table plus local subscriptions.
 // Forwarding decisions are made here; the Network drives the hop-by-hop
 // traversal and accounts link bytes.
 class Router {
  public:
-  explicit Router(NodeId id = -1) : id_(id) {}
+  // `streams` and `links` as for RoutingTable: the network's shared
+  // interner (nullptr: a router-owned one) and the node's tree neighbors.
+  explicit Router(NodeId id = -1, std::shared_ptr<StreamIds> streams = nullptr,
+                  std::vector<NodeId> links = {});
 
   NodeId id() const { return id_; }
   RoutingTable& table() { return table_; }
   const RoutingTable& table() const { return table_; }
+  const std::shared_ptr<StreamIds>& streams() const {
+    return table_.streams();
+  }
 
   void AddLocal(ProfileId id, ProfilePtr profile, DeliveryCallback callback);
   bool RemoveLocal(ProfileId id);
@@ -73,21 +40,20 @@ class Router {
     return local_profiles_;
   }
 
-  // Delivers `d` to every matching local subscriber, applying the
-  // subscriber's exact projection set P (last-hop projection, paper §3.1).
-  // Only subscribers of `d.stream` are evaluated (per-stream index).
-  // Returns the number of deliveries.
-  size_t DeliverLocal(const Datagram& d, ProjectionCache& cache);
+  // Delivers `payload`, a tuple of `stream`, to every matching local
+  // subscriber, applying the subscriber's exact projection set P
+  // (last-hop projection, paper §3.1). Only subscribers of `stream` are
+  // evaluated. Returns the number of deliveries.
+  size_t DeliverLocal(StreamId stream, const Payload& payload);
 
-  // One forwarding decision: the datagram to put on the wire toward `link`
-  // (early-projected to the union of required attributes of the matching
-  // profiles when `early_projection`), or nullopt when no profile matches.
-  // Evaluates only the (link, d.stream) bucket of the routing table and
-  // reuses internal scratch buffers, so a decision allocates nothing on
-  // the no-match and all-match paths.
-  std::optional<Datagram> DecideForward(const Datagram& d, NodeId link,
-                                        bool early_projection,
-                                        ProjectionCache& cache) const;
+  // One forwarding decision on `bucket`'s link: null when no profile
+  // matches; else the payload to put on the wire. That is `payload` itself
+  // when the projection keeps every attribute (or `early_projection` is
+  // off), and otherwise a new payload from `pool`, early-projected to the
+  // union of the matching profiles' required attributes.
+  PayloadRef Forward(const RoutingTable::StreamBucket& bucket,
+                     const PayloadRef& payload, bool early_projection,
+                     PayloadPool& pool) const;
 
   // Attaches (nullptr: detaches) matcher instruments in `metrics`:
   // cbn.matcher_compiles (bucket/local compilations), cbn.matcher_fallbacks
@@ -97,42 +63,50 @@ class Router {
   void SetTelemetry(MetricsRegistry* metrics);
 
  private:
-  // Rebuilds local_by_stream_ after a removal shifted indices.
-  void ReindexLocals();
+  // A local subscriber of one stream with its last-hop projection plans,
+  // one per input schema seen.
+  struct LocalSubscriber {
+    size_t index = 0;  // into local_profiles_
+    SchemaMemo<ProjectionPlan> plans;
+  };
+  // The local subscribers of one stream and their compiled matcher (built
+  // on first use, dropped on any change to the list).
+  struct LocalStream {
+    std::vector<LocalSubscriber> subscribers;
+    std::unique_ptr<CompiledMatcher> matcher;
+  };
 
-  // The compiled matcher over the local subscribers of `stream` (profile
-  // indices align with `indices`), built lazily and dropped on any local
-  // subscription change.
-  const CompiledMatcher& LocalMatcher(const std::string& stream,
-                                      const std::vector<size_t>& indices);
+  void IndexLocal(size_t index);
+  const CompiledMatcher& LocalMatcher(LocalStream& ls,
+                                      const std::string& stream);
+  // The last-hop plan of `sub`, a subscriber of `stream`, for tuples of
+  // `input`.
+  const ProjectionPlan& LastHopPlan(LocalSubscriber& sub,
+                                    const std::string& stream,
+                                    const std::shared_ptr<const Schema>& input);
 
-  // Runs `m` over `d` into `*hits` with sampled timing and fallback
+  // Runs `m` over `tuple` into `*hits` with sampled timing and fallback
   // accounting.
-  void MatchCompiled(const CompiledMatcher& m, const Datagram& d,
+  void MatchCompiled(const CompiledMatcher& m, const Tuple& tuple,
                      std::vector<uint32_t>* hits) const;
 
   NodeId id_;
   RoutingTable table_;
   std::vector<std::pair<ProfileId, ProfilePtr>> local_profiles_;
   std::vector<DeliveryCallback> local_callbacks_;
-  // stream -> indices into local_profiles_ subscribed to it.
-  std::unordered_map<std::string, std::vector<size_t>> local_by_stream_;
-  // stream -> compiled matcher over its local_by_stream_ entry.
-  std::unordered_map<std::string, std::unique_ptr<CompiledMatcher>>
-      local_matchers_;
+  // StreamId -> the local subscribers of that stream.
+  std::unordered_map<StreamId, LocalStream> local_by_stream_;
   Counter* matcher_compiles_ = nullptr;
   Counter* matcher_fallbacks_ = nullptr;
   Histogram* match_time_ns_ = nullptr;
   mutable uint64_t match_sample_ = 0;
-  // Scratch for DecideForward (single-threaded per node, like the table).
-  mutable std::vector<const RoutingTable::BucketSlot*> match_scratch_;
-  mutable std::vector<std::string> attr_scratch_;
+  // Scratch for Forward (single-threaded per node, like the table).
   mutable CompiledMatcher::Scratch matcher_scratch_;
   mutable std::vector<uint32_t> hit_scratch_;
   // DeliverLocal's hit buffer is swapped out while subscriber callbacks
   // run: a callback that publishes re-enters matching on this router, and
   // the nested Match must not clobber the list being delivered.
-  mutable std::vector<uint32_t> local_hit_scratch_;
+  std::vector<uint32_t> local_hit_scratch_;
 };
 
 }  // namespace cosmos

@@ -26,17 +26,6 @@ Result<AttributeDef> Schema::FindAttribute(const std::string& name) const {
   return attributes_[*idx];
 }
 
-std::vector<int32_t> Schema::ResolveOffsets(
-    const std::vector<std::string>& names) const {
-  std::vector<int32_t> offsets;
-  offsets.reserve(names.size());
-  for (const auto& name : names) {
-    auto idx = IndexOf(name);
-    offsets.push_back(idx ? static_cast<int32_t>(*idx) : -1);
-  }
-  return offsets;
-}
-
 size_t Schema::EstimatedRowWidth() const {
   size_t total = 0;
   for (const auto& a : attributes_) {

@@ -1,7 +1,6 @@
 #ifndef COSMOS_STREAM_SCHEMA_H_
 #define COSMOS_STREAM_SCHEMA_H_
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -50,13 +49,6 @@ class Schema {
   const AttributeDef& attribute(size_t i) const { return attributes_[i]; }
 
   Result<AttributeDef> FindAttribute(const std::string& name) const;
-
-  // Resolves `names` to column offsets in one pass, -1 for attributes this
-  // schema does not carry (e.g. projected away upstream). Offsets are
-  // stable for the schema's lifetime — the compiled matcher binds its
-  // attribute tables to a schema once and then indexes positionally.
-  std::vector<int32_t> ResolveOffsets(
-      const std::vector<std::string>& names) const;
 
   // Sum of the fixed serialized sizes of the attributes (strings counted at
   // an assumed 16-byte average payload); used for rate estimation.

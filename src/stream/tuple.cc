@@ -45,6 +45,26 @@ Tuple Tuple::Project(const std::vector<size_t>& indices,
   return Tuple(std::move(projected_schema), std::move(out), timestamp_);
 }
 
+void Tuple::AssignProjection(
+    const Tuple& src, const std::vector<size_t>& indices,
+    const std::shared_ptr<const Schema>& projected_schema) {
+  COSMOS_CHECK(projected_schema != nullptr);
+  COSMOS_CHECK_EQ(indices.size(), projected_schema->num_attributes());
+  values_.clear();
+  for (size_t i : indices) {
+    COSMOS_CHECK_LT(i, src.values_.size());
+    values_.push_back(src.values_[i]);
+  }
+  schema_ = projected_schema;
+  timestamp_ = src.timestamp_;
+}
+
+void Tuple::Clear() {
+  schema_.reset();
+  values_.clear();
+  timestamp_ = kInvalidTimestamp;
+}
+
 std::string Tuple::ToString() const {
   std::string out = schema_ ? schema_->stream_name() : "<no schema>";
   out += "{";

@@ -43,6 +43,14 @@ class Tuple {
   Tuple Project(const std::vector<size_t>& indices,
                 std::shared_ptr<const Schema> projected_schema) const;
 
+  // Overwrites this tuple with `src.Project(indices, projected_schema)`,
+  // reusing this tuple's value storage.
+  void AssignProjection(const Tuple& src, const std::vector<size_t>& indices,
+                        const std::shared_ptr<const Schema>& projected_schema);
+
+  // Drops the schema and the values but keeps the value storage.
+  void Clear();
+
   std::string ToString() const;
 
   // Value-wise equality (schemas compared by attribute names/types).

@@ -91,6 +91,38 @@ TEST(Network, SharedPathTransfersOnce) {
   EXPECT_EQ(net.total_deliveries(), 2u);
 }
 
+TEST(Network, WireSizeCountsTheStreamName) {
+  // Hops carry the stream as an interned id, but the wire size still
+  // counts the name: per link, 2 header bytes + the name + the tuple
+  // (8-byte timestamp + 8 per double/int64 value). On a chain 0-1-2 with
+  // the subscriber at 2 each link carries the whole tuple once; early
+  // projection onto {temp} shrinks only the tuple part.
+  const auto chain = [] {
+    return DisseminationTree::FromEdges(3, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}})
+        .value();
+  };
+  const uint64_t name = std::string("s").size();
+  const uint64_t whole = 2 + name + (8 + 3 * 8);
+  const uint64_t temp_only = 2 + name + (8 + 1 * 8);
+  for (bool projected : {false, true}) {
+    ContentBasedNetwork net(chain());
+    Profile p;
+    if (projected) {
+      p.AddStream("s", {"temp"});
+    } else {
+      p.AddStream("s");
+    }
+    net.Subscribe(2, p, nullptr);
+    net.Publish(0, MakeDatagram(1, 1, 5));
+    const uint64_t expected = projected ? temp_only : whole;
+    EXPECT_EQ(net.link_stats().at({0, 1}).bytes, expected) << projected;
+    EXPECT_EQ(net.link_stats().at({1, 2}).bytes, expected) << projected;
+    EXPECT_EQ(net.total_bytes(), 2 * expected) << projected;
+    // The published-bytes ledger counts the unprojected datagram.
+    EXPECT_EQ(net.published_by_stream().at("s").bytes, whole);
+  }
+}
+
 TEST(Network, ForwardingStopsWhereNoInterest) {
   ContentBasedNetwork net(StarTree());
   Profile p;

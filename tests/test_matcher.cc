@@ -66,7 +66,7 @@ std::vector<uint32_t> CompiledMatch(const CompiledMatcher& m,
                                     const Datagram& d) {
   CompiledMatcher::Scratch scratch;
   std::vector<uint32_t> out;
-  m.Match(d, &scratch, &out);
+  m.Match(d.tuple, &scratch, &out);
   return out;
 }
 
@@ -209,14 +209,14 @@ TEST(CompiledMatcher, ResidualFallbackOnlyAfterCanonicalPass) {
   CompiledMatcher::Scratch scratch;
   std::vector<uint32_t> out;
   // Canonical stage fails: the residual must not even be evaluated.
-  m.Match(MakeDatagram(3, 3, 0, "x", false), &scratch, &out);
+  m.Match(MakeDatagram(3, 3, 0, "x", false).tuple, &scratch, &out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(scratch.fallback_evals, 0u);
   // Canonical passes, residual decides.
-  m.Match(MakeDatagram(6, 3, 0, "x", false), &scratch, &out);
+  m.Match(MakeDatagram(6, 3, 0, "x", false).tuple, &scratch, &out);
   EXPECT_EQ(out, (std::vector<uint32_t>{0}));
   EXPECT_EQ(scratch.fallback_evals, 1u);
-  m.Match(MakeDatagram(6, 9, 0, "x", false), &scratch, &out);
+  m.Match(MakeDatagram(6, 9, 0, "x", false).tuple, &scratch, &out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(scratch.fallback_evals, 1u);
 }
@@ -241,7 +241,7 @@ TEST(CompiledMatcher, BucketInvalidationOnChurn) {
   const RoutingTable::StreamBucket* bucket = t.BucketFor(1, "s");
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
-  EXPECT_EQ(bucket->Compiled("s").num_profiles(), 1u);
+  EXPECT_EQ(bucket->Compiled().num_profiles(), 1u);
   EXPECT_TRUE(bucket->has_compiled());
 
   // Every mutation hook must drop the compiled matcher.
@@ -249,13 +249,13 @@ TEST(CompiledMatcher, BucketInvalidationOnChurn) {
   bucket = t.BucketFor(1, "s");
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
-  EXPECT_EQ(bucket->Compiled("s").num_profiles(), 2u);
+  EXPECT_EQ(bucket->Compiled().num_profiles(), 2u);
 
   t.Remove(1, 1);
   bucket = t.BucketFor(1, "s");
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
-  EXPECT_EQ(bucket->Compiled("s").num_profiles(), 1u);
+  EXPECT_EQ(bucket->Compiled().num_profiles(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ TEST(MatcherFuzz, CompiledEqualsInterpretedAcrossSeeds) {
     std::vector<uint32_t> hits;
     for (int k = 0; k < 80; ++k) {
       Datagram d = RandomDatagram(data_rng);
-      m.Match(d, &scratch, &hits);
+      m.Match(d.tuple, &scratch, &hits);
       EXPECT_EQ(hits, InterpretedMatch(profiles, d))
           << "trial " << trial << " datagram " << k << ": "
           << d.tuple.ToString();
@@ -380,33 +380,51 @@ TEST(MatcherFuzz, CompiledEqualsInterpretedAcrossSeeds) {
 // over the (link, stream) bucket, projected to the sorted union of the
 // matching slots' required attributes (any slot wanting all attributes
 // disables projection).
+// `d` projected onto `attrs` (see ProjectionPlan::Named).
+Datagram Project(const Datagram& d, const std::vector<std::string>& attrs) {
+  ProjectionPlan plan = ProjectionPlan::Named(*d.tuple.schema(), attrs);
+  if (plan.identity()) return d;
+  return Datagram{d.stream, d.tuple.Project(plan.indices, plan.schema)};
+}
+
 std::optional<Datagram> ReferenceForward(const RoutingTable& table,
-                                         const Datagram& d, NodeId link,
-                                         ProjectionCache& cache) {
+                                         const Datagram& d, NodeId link) {
   const RoutingTable::StreamBucket* bucket = table.BucketFor(link, d.stream);
   if (bucket == nullptr) return std::nullopt;
   bool matched = false;
   std::set<std::string> attrs;
   for (const auto& slot : bucket->slots()) {
     if (!slot.profile->Covers(d)) continue;
-    if (slot.required.empty()) return d;
+    if (slot.required->empty()) return d;
     matched = true;
-    attrs.insert(slot.required.begin(), slot.required.end());
+    attrs.insert(slot.required->begin(), slot.required->end());
   }
   if (!matched) return std::nullopt;
-  return cache.Project(d, std::vector<std::string>(attrs.begin(), attrs.end()));
+  return Project(d, std::vector<std::string>(attrs.begin(), attrs.end()));
+}
+
+// The router's decision for `d` on `link`, as a datagram.
+std::optional<Datagram> RouterForward(const Router& router, PayloadPool& pool,
+                                      const Datagram& d, NodeId link) {
+  const RoutingTable::StreamBucket* bucket =
+      router.table().BucketFor(link, d.stream);
+  if (bucket == nullptr) return std::nullopt;
+  PayloadRef out =
+      router.Forward(*bucket, pool.Make(d), /*early_projection=*/true, pool);
+  if (!out) return std::nullopt;
+  return Datagram{d.stream, out->tuple()};
 }
 
 // Full-router equivalence including the projection union: the router's
-// DecideForward must equal the reference walk over the same table —
+// Forward decision must equal the reference walk over the same table —
 // including the early-projected schema — across Add/Remove/
 // RemoveEverywhere churn.
 TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
   Rng root(0xFACADE);
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
+    PayloadPool pool;
     Router router(0);
-    ProjectionCache cache_c, cache_i;
     const NodeId kLink = 1;
     ProfileId next_id = 1;
     std::vector<ProfileId> live;
@@ -414,11 +432,8 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
     auto check_round = [&](int round) {
       for (int k = 0; k < 40; ++k) {
         Datagram d = RandomDatagram(rng);
-        std::optional<Datagram> a =
-            router.DecideForward(d, kLink, /*early_projection=*/true,
-                                 cache_c);
-        std::optional<Datagram> b =
-            ReferenceForward(router.table(), d, kLink, cache_i);
+        std::optional<Datagram> a = RouterForward(router, pool, d, kLink);
+        std::optional<Datagram> b = ReferenceForward(router.table(), d, kLink);
         ASSERT_EQ(a.has_value(), b.has_value())
             << "trial " << trial << " round " << round;
         if (a.has_value()) {
@@ -457,8 +472,8 @@ TEST(MatcherFuzz, LocalDeliveryEquivalence) {
   Rng root(0x10CA1);
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
+    PayloadPool pool;
     Router router(0);
-    ProjectionCache cache_c, cache_i;
     std::vector<std::string> got_c, got_i;
     std::vector<ProfilePtr> profiles;
     const size_t n = rng.NextBounded(12) + 1;
@@ -472,11 +487,12 @@ TEST(MatcherFuzz, LocalDeliveryEquivalence) {
     }
     for (int k = 0; k < 60; ++k) {
       Datagram d = RandomDatagram(rng);
-      const size_t dc = router.DeliverLocal(d, cache_c);
+      const size_t dc = router.DeliverLocal(router.streams()->Intern(d.stream),
+                                            *pool.Make(d));
       size_t di = 0;
       for (size_t i = 0; i < profiles.size(); ++i) {
         if (!profiles[i]->Covers(d)) continue;
-        Datagram out = cache_i.Project(d, profiles[i]->ProjectionOf(d.stream));
+        Datagram out = Project(d, profiles[i]->ProjectionOf(d.stream));
         got_i.push_back(std::to_string(i) + ":" + out.tuple.ToString());
         ++di;
       }

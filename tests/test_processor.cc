@@ -155,6 +155,51 @@ TEST_F(ProcessorTest, LateJoinerStillGetsOnlyItsResults) {
   EXPECT_EQ(hits_q2, 2);
 }
 
+TEST_F(ProcessorTest, RetiredResultSchemaIsFreedOnceTheNetworkDrains) {
+  // A version change retires the group's result stream and, with its SPE
+  // query, the schema of its result tuples. Once the hops that carried
+  // them have landed, nothing in the network may keep that schema alive:
+  // projection plans live in the buckets and subscribers that use them,
+  // and those go with the old stream's subscriptions.
+  Simulator sim;
+  ContentBasedNetwork net(*tree_, NetworkOptions{}, &sim);
+  Processor proc(0, &catalog_, &net, ProcessorOptions{});
+  int hits = 0;
+  auto count = [&](const std::string&, const Tuple&) { ++hits; };
+  ASSERT_TRUE(proc.SubmitQuery("q1",
+                               "SELECT itemID, start_price FROM OpenAuction "
+                               "WHERE start_price >= 100 AND "
+                               "start_price <= 200",
+                               2, count)
+                  .ok());
+  // An observer of the whole result stream sees the SPE's own schema.
+  Profile whole;
+  whole.AddStream(proc.grouping().GroupOf("q1")->ResultStreamName());
+  std::weak_ptr<const Schema> retired;
+  ProfileId observer =
+      net.Subscribe(3, whole, [&](const std::string&, const Tuple& t) {
+        retired = t.schema();
+      });
+  net.Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
+  sim.Run();
+  ASSERT_FALSE(retired.expired());
+  const uint64_t version = proc.grouping().GroupOf("q1")->version;
+
+  // q2 widens the group: a new version on a new result stream.
+  ASSERT_TRUE(proc.SubmitQuery("q2",
+                               "SELECT itemID, start_price FROM OpenAuction "
+                               "WHERE start_price >= 150 AND "
+                               "start_price <= 400",
+                               3, count)
+                  .ok());
+  ASSERT_GT(proc.grouping().GroupOf("q1")->version, version);
+  ASSERT_TRUE(net.Unsubscribe(observer));
+  net.Publish(0, Datagram{"OpenAuction", Open(2, 180, 1)});
+  sim.Run();
+  EXPECT_EQ(hits, 3);  // q1 twice, q2 once
+  EXPECT_TRUE(retired.expired());
+}
+
 TEST_F(ProcessorTest, RemoveQueryStopsItsDeliveries) {
   auto proc = MakeProcessor();
   int hits1 = 0, hits2 = 0;

@@ -11,7 +11,7 @@ The file is google-benchmark JSON produced by:
 Every gate compares `_median` aggregate rows, so the file must come from a
 run with repetitions; one short run per side passes or fails on host noise.
 Each compared side's coefficient of variation over its repetitions is
-printed beside the verdict. Three gates, all measured within the same run:
+printed beside the verdict. Four gates, all measured within the same run:
 
   1. Index speedup — the run covers table sizes {10^2, 10^3, 10^4} for both
      the stream-partitioned index (BM_RoutingForwardIndexed) and the
@@ -28,6 +28,12 @@ printed beside the verdict. Three gates, all measured within the same run:
      (BM_ForwardWithTelemetry) keeps at least MIN_TELEMETRY_RATIO of the
      bare network's throughput (BM_ForwardWithoutTelemetry), so the
      instruments can stay on everywhere.
+  4. Allocations — a deterministic instrument, so it is checked on every
+     repetition rather than on medians: on BM_RoutingForwardIndexed and
+     BM_MatchCompiled at every size, allocs_per_datagram is no more than
+     projecting_share, the share of decisions whose projection changed the
+     attribute set. A forward that keeps every attribute shares its payload
+     and allocates nothing; a projecting one allocates at most once.
 
 Usage: tools/check_bench.py [BENCH_routing.json]
 """
@@ -44,6 +50,9 @@ MIN_TELEMETRY_RATIO = 0.95
 SIZES = (100, 1000, 10000)
 IMPLS = ("Indexed", "Linear")
 MATCH_IMPLS = ("Compiled", "Interpreted")
+ALLOC_BENCHES = tuple(f"BM_{b}/{n}" for b in ("RoutingForwardIndexed",
+                                                 "MatchCompiled")
+                      for n in SIZES)
 TELEMETRY_BENCHES = (
     "BM_CounterHotPath",
     "BM_ForwardWithoutTelemetry",
@@ -97,6 +106,11 @@ def main() -> int:
     for name in TELEMETRY_BENCHES[1:]:
         if name in bench and "datagrams_per_sec" not in bench[name]:
             missing.append(f"{name}_median:datagrams_per_sec")
+    for name in ALLOC_BENCHES:
+        if name in bench and not {"allocs_per_datagram",
+                                  "projecting_share"} <= bench[name].keys():
+            missing.append(f"{name}_median:allocs_per_datagram/"
+                           "projecting_share")
     if missing:
         print(f"{path} incomplete: missing {', '.join(missing)} (run with "
               "--benchmark_repetitions=5)", file=sys.stderr)
@@ -159,6 +173,30 @@ def main() -> int:
     else:
         print(f"OK: telemetry keeps {ratio:.1%} >= "
               f"{MIN_TELEMETRY_RATIO:.0%} of bare forwarding throughput")
+
+    for name in ALLOC_BENCHES:
+        reps = [b for b in rows if b.get("run_type") == "iteration"
+                and b.get("run_name") == name]
+        if not reps:
+            print(f"{name} has no per-repetition rows: rerun bench_micro "
+                  "without --benchmark_report_aggregates_only",
+                  file=sys.stderr)
+            ok = False
+            continue
+        over = [b for b in reps
+                if b["allocs_per_datagram"] > b["projecting_share"]]
+        worst = max(reps, key=lambda b: (b["allocs_per_datagram"]
+                                         - b["projecting_share"]))
+        print(f"{name:>30}: allocs/datagram "
+              f"{worst['allocs_per_datagram']:.4f} | projecting share "
+              f"{worst['projecting_share']:.4f} (worst of {len(reps)} reps)")
+        if over:
+            print(f"{name} allocates more than its projections need: "
+                  f"{len(over)} of {len(reps)} repetitions have "
+                  "allocs_per_datagram > projecting_share", file=sys.stderr)
+            ok = False
+    if ok:
+        print("OK: no forward allocates beyond its projection")
     return 0 if ok else 1
 
 
