@@ -13,7 +13,7 @@ namespace cosmos {
 ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
                                          NetworkOptions options,
                                          Simulator* sim)
-    : tree_(std::make_shared<const DisseminationTree>(std::move(tree))),
+    : tree_(std::move(tree)),
       options_(options),
       sim_(sim),
       streams_(std::make_shared<StreamIds>()),
@@ -139,7 +139,7 @@ ProfileId ContentBasedNetwork::Subscribe(NodeId node, Profile profile,
 void ContentBasedNetwork::InstallAlongPath(
     NodeId publisher, NodeId subscriber, ProfileId id,
     const RoutingTable::PreparedPtr& prepared) {
-  auto path = tree_->Path(publisher, subscriber);
+  auto path = tree_.Path(publisher, subscriber);
   // path runs publisher -> ... -> subscriber; at each intermediate node the
   // entry points to the next hop (toward the subscriber).
   for (size_t i = 0; i + 1 < path.size(); ++i) {
@@ -222,30 +222,26 @@ std::vector<bool> ContentBasedNetwork::Unserved(
   return in;
 }
 
-void ContentBasedNetwork::Reroute(const Hop& hop) {
-  // The hop left `hop.from` on a tree that Repair()/RebuildTree() has
-  // replaced since, so `hop.to` may lie on no path of the current tree. It
-  // still owes the nodes on `hop.to`'s side of the old edge: re-enter at the
-  // publisher and deliver only there, exactly like a flushed copy.
-  Owed owed = std::make_shared<const std::vector<bool>>(
-      Unserved(*hop.old_tree, hop.to, hop.from, hop.allowed.get()));
+void ContentBasedNetwork::Buffer(NodeId from, NodeId to, StreamId stream,
+                                 PayloadRef payload, const Origin& origin,
+                                 const Owed& allowed) {
   if (tracer_ != nullptr && tracer_->enabled()) {
-    TraceInstant("reroute", hop.origin.publisher, hop.from, 0, hop.stream,
-                 hop.payload->tuple());
+    TraceInstant("buffer", from, to, 0, stream, payload->tuple());
   }
-  Process(hop.origin.publisher, /*from=*/-1, hop.stream, hop.payload,
-          hop.origin, owed);
+  StreamMetrics(stream).buffered->Increment();
+  buffered_.push_back(Buffered{
+      origin, stream,
+      std::make_shared<const std::vector<bool>>(
+          Unserved(tree_, to, from, allowed.get())),
+      std::move(payload)});
 }
 
 void ContentBasedNetwork::LandHop(uint32_t handle) {
   Hop hop = std::move(hops_[handle]);  // leaves the slot's payload null
   free_hops_.push_back(handle);
-  if (hop.old_tree != nullptr) {
-    Reroute(hop);
-  } else {
-    Process(hop.to, hop.from, hop.stream, hop.payload, hop.origin,
-            hop.allowed);
-  }
+  // A null payload was taken into the failure buffer by a tree change.
+  if (!hop.payload) return;
+  Process(hop.to, hop.from, hop.stream, hop.payload, hop.origin, hop.allowed);
 }
 
 size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
@@ -253,12 +249,12 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
                                     const PayloadRef& payload,
                                     const Origin& origin, const Owed& allowed) {
   // `allowed` marks the nodes that have NOT yet seen this datagram (a
-  // post-repair flush into the side a failed link cut off, or a hop
-  // rerouted after the tree changed under it). It restricts
-  // *delivery*, never forwarding: after a repair (or a wholesale tree
-  // rebuild) the surviving route to an unserved subscriber may pass through
-  // already-served nodes, so a forwarding restriction would strand the
-  // datagram. Served nodes merely relay; only unserved ones deliver.
+  // flushed copy, stopped at a failed link or in flight at a tree change).
+  // It restricts *delivery*, never forwarding: after a repair (or a
+  // wholesale tree rebuild) the surviving route to an unserved subscriber
+  // may pass through already-served nodes, so a forwarding restriction
+  // would strand the datagram. Served nodes merely relay; only unserved
+  // ones deliver.
   const bool traced = tracer_ != nullptr && tracer_->enabled();
   StreamCounters& sc = StreamMetrics(stream);
   Router& router = routers_[node];
@@ -300,16 +296,8 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
         // after Repair() and delivers exactly there, so nobody sees it
         // twice. A flushed copy stopped again keeps only the nodes its flush
         // still owed.
-        if (traced) {
-          TraceInstant("buffer", node, neighbor, 0, stream,
-                       send.payload->tuple());
-        }
-        buffered_.push_back(Buffered{
-            origin, stream,
-            std::make_shared<const std::vector<bool>>(
-                Unserved(*tree_, neighbor, node, allowed.get())),
-            std::move(send.payload)});
-        sc.buffered->Increment();
+        Buffer(node, neighbor, stream, std::move(send.payload), origin,
+               allowed);
       } else {
         sc.dropped->Increment();
         if (traced) {
@@ -326,7 +314,7 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
     } else {
       recovery_forwards_counter_->Increment();
     }
-    const auto& neighbors = tree_->Neighbors(node);
+    const auto& neighbors = tree_.Neighbors(node);
     COSMOS_DCHECK(send.rank < neighbors.size() &&
                   neighbors[send.rank].first == neighbor)
         << "routing entry on node " << node << " for non-neighbor "
@@ -358,8 +346,7 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
                           .stream = stream,
                           .origin = origin,
                           .payload = std::move(send.payload),
-                          .allowed = allowed,
-                          .old_tree = nullptr};
+                          .allowed = allowed};
       sim_->Schedule(delay, [this, handle] { LandHop(handle); });
     } else {
       delivered +=
@@ -385,7 +372,7 @@ size_t ContentBasedNetwork::Publish(NodeId node, Datagram datagram) {
 }
 
 Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
-  if (!tree_->HasEdge(u, v)) {
+  if (!tree_.HasEdge(u, v)) {
     return Status::NotFound(StrFormat("tree link (%d,%d)", u, v));
   }
   failed_links_.insert(DisseminationTree::EdgeKey(u, v));
@@ -393,21 +380,25 @@ Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
 }
 
 void ContentBasedNetwork::ReplaceTree(DisseminationTree tree) {
-  std::shared_ptr<const DisseminationTree> old = std::move(tree_);
-  tree_ = std::make_shared<const DisseminationTree>(std::move(tree));
+  // A hop in flight may be bound for a node on no path of the new tree, so
+  // it re-enters from the buffer with the copies held at failed links. Its
+  // slot stays taken until the scheduled landing, now inert, frees it.
   for (Hop& hop : hops_) {
-    // A hop keeps the tree it was routed on across later replacements.
-    if (hop.payload && hop.old_tree == nullptr) hop.old_tree = old;
+    if (!hop.payload) continue;
+    // Moving leaves the slot's payload null.
+    Buffer(hop.from, hop.to, hop.stream, std::move(hop.payload), hop.origin,
+           hop.allowed);
   }
+  tree_ = std::move(tree);
 }
 
 void ContentBasedNetwork::ReinstallAllSubscriptions() {
-  routers_.resize(tree_->num_nodes());
-  for (NodeId i = 0; i < tree_->num_nodes(); ++i) {
+  routers_.resize(tree_.num_nodes());
+  for (NodeId i = 0; i < tree_.num_nodes(); ++i) {
     // Each router lists its links in the tree's neighbor order, so a node
     // visit forwards in that order.
     std::vector<NodeId> links;
-    for (const auto& [v, w] : tree_->Neighbors(i)) links.push_back(v);
+    for (const auto& [v, w] : tree_.Neighbors(i)) links.push_back(v);
     routers_[i] = Router(i, streams_, std::move(links));
     // A fresh Router has no telemetry handles; re-apply them or rebuilds
     // would silently stop counting.
@@ -426,7 +417,7 @@ Status ContentBasedNetwork::Repair(const Graph& overlay) {
   }
   // Surviving tree edges.
   std::vector<Edge> edges;
-  for (const auto& e : tree_->edges()) {
+  for (const auto& e : tree_.edges()) {
     if (!LinkFailed(e.u, e.v)) edges.push_back(e);
   }
   // Reconnect components greedily: union-find over surviving edges, then
@@ -486,9 +477,10 @@ Status ContentBasedNetwork::RebuildTree(DisseminationTree tree) {
 }
 
 void ContentBasedNetwork::FlushBuffered() {
-  // Each buffered copy re-enters at its publisher, in publish order, so it
-  // travels the repaired tree's FIFO paths ahead of every later datagram of
-  // its stream: per-stream order survives the failure. Restricting
+  // Each buffered copy (stopped at a failed link, or in flight when the tree
+  // changed) re-enters at its publisher, in publish order, so it travels the
+  // new tree's FIFO paths ahead of every later datagram of its stream:
+  // per-stream order survives the failure or the rebuild. Restricting
   // *delivery* to the recorded cut-off side guarantees no duplicates, while
   // forwarding stays unrestricted so the repaired tree can route through
   // served nodes. (The retransmission travels over a recovery channel and
@@ -514,7 +506,7 @@ void ContentBasedNetwork::PruneStaleLinkStats() {
   // Keys for edges the repair/rebuild dropped would otherwise be charged
   // forever by WeightedBytes() at the value_or(1.0) fallback weight.
   for (auto it = link_counters_.begin(); it != link_counters_.end();) {
-    if (!tree_->HasEdge(it->first.first, it->first.second)) {
+    if (!tree_.HasEdge(it->first.first, it->first.second)) {
       it->second.datagrams->Reset();
       it->second.bytes->Reset();
       it = link_counters_.erase(it);
@@ -577,7 +569,7 @@ uint64_t ContentBasedNetwork::recovered_datagrams() const {
 double ContentBasedNetwork::WeightedBytes() const {
   double total = 0.0;
   for (const auto& [key, lc] : link_counters_) {
-    double w = tree_->EdgeWeight(key.first, key.second).value_or(1.0);
+    double w = tree_.EdgeWeight(key.first, key.second).value_or(1.0);
     total += static_cast<double>(lc.bytes->value()) * w;
   }
   return total;

@@ -74,8 +74,8 @@ class ContentBasedNetwork {
   ContentBasedNetwork(const ContentBasedNetwork&) = delete;
   ContentBasedNetwork& operator=(const ContentBasedNetwork&) = delete;
 
-  const DisseminationTree& tree() const { return *tree_; }
-  int num_nodes() const { return tree_->num_nodes(); }
+  const DisseminationTree& tree() const { return tree_; }
+  int num_nodes() const { return tree_.num_nodes(); }
 
   // Declares that `node` publishes `stream` (idempotent) and installs the
   // entries of existing subscriptions to `stream` along the paths from
@@ -118,9 +118,10 @@ class ContentBasedNetwork {
   // Replaces the dissemination tree wholesale (the overlay optimizer's
   // reorganization path): rebuilds every router's state from the
   // subscription registry. Fails if `tree` has a different node count.
-  // After Repair() or RebuildTree(), a hop still in flight on the old tree
-  // re-enters at its publisher on landing and delivers only to the nodes
-  // it still owed (counted as recovery traffic).
+  // Repair() and RebuildTree() take every hop in flight on the old tree
+  // into the failure buffer and re-enter it with the buffered copies at
+  // its publisher, in publish order, delivering only to the nodes it still
+  // owed (counted as buffered, flushed and recovery traffic).
   Status RebuildTree(DisseminationTree tree);
 
   // ---- statistics ----
@@ -144,8 +145,8 @@ class ContentBasedNetwork {
   // the sum of cbn.dropped.
   uint64_t lost_datagrams() const;
   uint64_t buffered_datagrams() const { return buffered_.size(); }
-  // Buffered datagrams delivered into the cut-off component after Repair:
-  // the sum of cbn.flushed.
+  // Buffered datagrams (held at a failed link or in flight at a tree
+  // change) re-entered after Repair/RebuildTree: the sum of cbn.flushed.
   uint64_t recovered_datagrams() const;
   // Sum of routing-table entries across all nodes (memory cost of
   // subscription state: one per subscription per link on its publisher
@@ -192,7 +193,7 @@ class ContentBasedNetwork {
   };
 
   // Nodes a recovering datagram still owes delivery to (see Process);
-  // shared by every hop of one flush or reroute.
+  // shared by every hop of one flushed copy.
   using Owed = std::shared_ptr<const std::vector<bool>>;
 
   // One datagram crossing one link under the simulator, from `from` to
@@ -202,11 +203,10 @@ class ContentBasedNetwork {
     NodeId from = -1;
     StreamId stream = kNoStream;
     Origin origin;
-    PayloadRef payload;  // null: the slot is free
+    // Null: the slot is free, or a tree change took the datagram into the
+    // failure buffer and the scheduled landing will only free the slot.
+    PayloadRef payload;
     Owed allowed;
-    // The tree the hop was routed on, set when Repair()/RebuildTree()
-    // replaced it while the hop was in flight.
-    std::shared_ptr<const DisseminationTree> old_tree;
   };
 
   // A forwarding decision of one node visit, sent once all are made.
@@ -253,9 +253,8 @@ class ContentBasedNetwork {
   // Processes `payload`, a tuple of `stream` published as `origin`, at
   // `node` arriving from `from` (-1 = entering at its publisher). When
   // `allowed` is non-null, *delivery* is restricted to nodes with
-  // allowed[v] == true (a post-repair flush or a rerouted hop); forwarding
-  // is unrestricted so the copy can route through already-served nodes on
-  // the current tree.
+  // allowed[v] == true (a flushed copy); forwarding is unrestricted so the
+  // copy can route through already-served nodes on the current tree.
   size_t Process(NodeId node, NodeId from, StreamId stream,
                  const PayloadRef& payload, const Origin& origin,
                  const Owed& allowed = nullptr);
@@ -272,31 +271,31 @@ class ContentBasedNetwork {
   std::vector<bool> Unserved(const DisseminationTree& tree, NodeId start,
                              NodeId blocked_from,
                              const std::vector<bool>* allowed) const;
-  // Finishes `hop`, routed on `hop.old_tree`, which Repair()/RebuildTree()
-  // has replaced since: re-enters it at its publisher, delivering only on
-  // `hop.to`'s side of the old edge.
-  void Reroute(const Hop& hop);
+  // Holds `payload`, stopped on the edge from `from` to `to` of the current
+  // tree, for FlushBuffered; it owes `to`'s side of that edge (within
+  // `allowed` when non-null). Counted in cbn.buffered.
+  void Buffer(NodeId from, NodeId to, StreamId stream, PayloadRef payload,
+              const Origin& origin, const Owed& allowed);
   void AccountLink(NodeId u, NodeId v, size_t bytes, StreamCounters& sc);
   bool LinkFailed(NodeId u, NodeId v) const {
     return failed_links_.count(DisseminationTree::EdgeKey(u, v)) > 0;
   }
-  // Makes `tree` the current tree; the hops in flight on the old one will
-  // re-enter at their publishers (see Reroute).
+  // Makes `tree` the current tree, first moving every hop in flight into
+  // buffered_, owing `hop.to`'s side of its edge on the old tree.
   void ReplaceTree(DisseminationTree tree);
   // Clears all routing state and reinstalls every live subscription.
   void ReinstallAllSubscriptions();
   // Re-enters every buffered datagram at its publisher, in publish order,
-  // delivering only into its recorded cut-off component, and counts it
-  // recovered. Called after Repair()/RebuildTree() restored a connected
-  // tree.
+  // delivering only to the nodes it recorded as owed, and counts it
+  // recovered: the one way a datagram recovers from a tree change. Called
+  // after Repair()/RebuildTree() restored a connected tree.
   void FlushBuffered();
   // Zeroes and forgets the counters of links no longer in tree_
   // (repair/rebuild replaced them), so WeightedBytes() never charges stale
   // keys at the fallback weight and a returning link restarts at zero.
   void PruneStaleLinkStats();
 
-  // Handed to the hops in flight when it is replaced (see Reroute).
-  std::shared_ptr<const DisseminationTree> tree_;
+  DisseminationTree tree_;
   NetworkOptions options_;
   Simulator* sim_;
   // Shared by the routers: stream names interned once.
@@ -312,11 +311,12 @@ class ContentBasedNetwork {
   struct Buffered {
     Origin origin;
     StreamId stream = kNoStream;
-    // Nodes on the far side of the failed link at buffer time — the ones
-    // that have not seen the datagram. Flushing delivers only to them.
+    // Nodes on the far side of the failed link, or of the in-flight hop's
+    // edge, at buffer time — the ones that have not seen the datagram.
+    // Flushing delivers only to them.
     Owed allowed;
-    // The copy projected for the failed link: it keeps every attribute the
-    // far side's profiles on that link need.
+    // The copy projected for that link: it keeps every attribute the far
+    // side's profiles on that link need.
     PayloadRef payload;
   };
   std::vector<Buffered> buffered_;

@@ -315,9 +315,9 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
   // Control-plane mutations happen only at quiescent points: in-flight
   // datagrams carry routing decisions made under the old subscription
   // state, so churning mid-flight would make the oracle's notion of "what
-  // this query should see" ill-defined. Link failures, by contrast, are
-  // injected at arbitrary points — that is the coverage this harness is
-  // for.
+  // this query should see" ill-defined. Link failures, repairs and tree
+  // rebuilds, by contrast, happen at arbitrary points, with datagrams in
+  // flight — that is the coverage this harness is for.
   auto quiescent = [&]() -> bool {
     drain();
     return !system.network().HasFailedLinks() &&
@@ -371,7 +371,7 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
         break;
       }
       case DstEventType::kRepairLinks: {
-        drain();
+        advance(e.at);
         if (!system.network().HasFailedLinks()) {
           ++report.events_skipped;
           break;
@@ -386,10 +386,9 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
         break;
       }
       case DstEventType::kRebuildTree: {
-        // Rebuilding is legal mid-failure (it clears failed links and
-        // flushes buffers onto the new tree), but we still drain first so
-        // in-flight hops finish on the tree they were routed for.
-        drain();
+        // Legal mid-failure and mid-flight: it clears failed links and
+        // flushes buffered and in-flight datagrams onto the new tree.
+        advance(e.at);
         Rng tree_rng(e.tree_seed);
         Result<std::vector<Edge>> edges =
             RandomSpanningTree(s.overlay, tree_rng);

@@ -71,10 +71,17 @@ void WindowAggregateOperator::Apply(GroupState& g, const Tuple& t, int sign) {
 Value WindowAggregateOperator::RecomputeExtremum(
     const std::vector<Value>& key, size_t agg_index, bool want_min) const {
   const AggSpec& a = aggs_[agg_index];
+  // Compared in place: the scan visits every group's rows.
+  auto in_group = [&](const Tuple& t) {
+    for (size_t j = 0; j < group_keys_.size(); ++j) {
+      if (t.value(group_keys_[j]) != key[j]) return false;
+    }
+    return true;
+  };
   bool found = false;
   Value best;
   for (const auto& t : window_.contents()) {
-    if (KeyOf(t) != key) continue;
+    if (!in_group(t)) continue;
     const Value& v = t.value(a.arg);
     if (v.is_null()) continue;
     if (!found) {

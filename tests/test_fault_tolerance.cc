@@ -206,6 +206,9 @@ TEST(RebuildTree, HopInFlightOnTheOldTreeDeliversOnce) {
                       Edge{0, 4, 1.0}})
                   .value();
   ASSERT_TRUE(net.RebuildTree(std::move(star)).ok());
+  // The hop joined the failure buffer and was flushed by the rebuild.
+  EXPECT_EQ(net.recovered_datagrams(), 1u);
+  EXPECT_EQ(net.buffered_datagrams(), 0u);
   sim.Run();
   EXPECT_EQ(hits1, 1) << "served before the rebuild, delivered again";
   EXPECT_EQ(hits4, 1) << "in-flight datagram lost by the rebuild";
