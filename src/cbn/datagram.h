@@ -71,40 +71,6 @@ struct ProjectionPlan {
                               const std::vector<std::string>& attrs);
 };
 
-// What a hop-path cache keeps per input schema (a bucket's projection
-// plans, a local subscriber's last-hop plan, a matcher's column offsets),
-// found by schema address. An entry holds its schema, so no other schema
-// can take that address while the entry lives. A miss first drops the
-// entries whose schema only this memo still holds: such a schema can never
-// arrive again, so one retired by churn is freed instead of piling up.
-template <typename T>
-class SchemaMemo {
- public:
-  // The entry for `schema`, made by `make()` on a miss. The reference stays
-  // valid until the next miss.
-  template <typename Make>
-  T& Get(const std::shared_ptr<const Schema>& schema, Make make) {
-    for (auto& [held, value] : entries_) {
-      if (held.get() == schema.get()) return value;
-    }
-    std::erase_if(entries_, [](const auto& entry) {
-      return entry.first.use_count() == 1;
-    });
-    return entries_.emplace_back(schema, make()).second;
-  }
-
-  // Calls `f` on every entry's value.
-  template <typename F>
-  void ForEach(F f) {
-    for (auto& entry : entries_) f(entry.second);
-  }
-
-  size_t size() const { return entries_.size(); }
-
- private:
-  std::vector<std::pair<std::shared_ptr<const Schema>, T>> entries_;
-};
-
 class PayloadPool;
 
 // One tuple in flight and its wire size, computed once: every hop that

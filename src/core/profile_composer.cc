@@ -95,13 +95,12 @@ DeliveryCallback MakePresentationCallback(const AnalyzedQuery& user,
     return inner;
   }
   // Per delivered schema (the CBN may deliver projections), cache the
-  // index of each user column. Keys retain their schema so pointer
-  // identity stays unambiguous for the callback's whole lifetime.
+  // index of each user column.
   struct State {
     std::vector<std::string> rep_names;
     std::shared_ptr<const Schema> user_schema;
     DeliveryCallback inner;
-    std::map<std::shared_ptr<const Schema>, std::vector<int>> mappings;
+    SchemaMemo<std::vector<int>> mappings;
   };
   auto state = std::make_shared<State>();
   state->rep_names = std::move(*rep_names);
@@ -120,19 +119,18 @@ DeliveryCallback MakePresentationCallback(const AnalyzedQuery& user,
       }
       return;
     }
-    auto it = state->mappings.find(t.schema());
-    if (it == state->mappings.end()) {
-      std::vector<int> mapping;
-      mapping.reserve(state->rep_names.size());
+    const std::vector<int>& mapping = state->mappings.Get(t.schema(), [&] {
+      std::vector<int> m;
+      m.reserve(state->rep_names.size());
       for (const auto& name : state->rep_names) {
         auto idx = t.schema()->IndexOf(name);
-        mapping.push_back(idx.has_value() ? static_cast<int>(*idx) : -1);
+        m.push_back(idx.has_value() ? static_cast<int>(*idx) : -1);
       }
-      it = state->mappings.emplace(t.schema(), std::move(mapping)).first;
-    }
+      return m;
+    });
     std::vector<Value> values;
-    values.reserve(it->second.size());
-    for (int idx : it->second) {
+    values.reserve(mapping.size());
+    for (int idx : mapping) {
       if (idx < 0) return;  // malformed delivery; drop rather than garble
       values.push_back(t.value(static_cast<size_t>(idx)));
     }

@@ -4,6 +4,17 @@
 
 namespace cosmos {
 
+namespace {
+
+// Whether `v` beats `held` as a MIN (or MAX) candidate. Incomparable values
+// never beat each other.
+bool Beats(const Value& v, const Value& held, bool want_min) {
+  auto cmp = v.Compare(held);
+  return cmp.ok() && (want_min ? *cmp < 0 : *cmp > 0);
+}
+
+}  // namespace
+
 bool WindowAggregateOperator::KeyLess::operator()(
     const std::vector<Value>& a, const std::vector<Value>& b) const {
   COSMOS_CHECK_EQ(a.size(), b.size());
@@ -26,79 +37,87 @@ bool WindowAggregateOperator::KeyLess::operator()(
 WindowAggregateOperator::WindowAggregateOperator(
     Duration window, std::vector<size_t> group_keys, std::vector<AggSpec> aggs,
     std::shared_ptr<const Schema> output_schema)
-    : window_size_(window),
-      group_keys_(std::move(group_keys)),
+    : group_keys_(std::move(group_keys)),
       aggs_(std::move(aggs)),
       output_schema_(std::move(output_schema)),
       window_(window) {
   COSMOS_CHECK(output_schema_->num_attributes() ==
                group_keys_.size() + aggs_.size());
-}
-
-std::vector<Value> WindowAggregateOperator::KeyOf(const Tuple& t) const {
-  std::vector<Value> key;
-  key.reserve(group_keys_.size());
-  for (size_t i : group_keys_) key.push_back(t.value(i));
-  return key;
-}
-
-void WindowAggregateOperator::Apply(GroupState& g, const Tuple& t, int sign) {
-  g.count += sign;
-  if (g.sums.size() != aggs_.size()) {
-    g.sums.assign(aggs_.size(), 0.0);
-    g.counts.assign(aggs_.size(), 0);
+  for (const AggSpec& a : aggs_) {
+    const bool extremum = a.func == AggFunc::kMin || a.func == AggFunc::kMax;
+    slot_.push_back(extremum ? num_extrema_++ : 0);
   }
+}
+
+void WindowAggregateOperator::Insert(GroupState& g, const Tuple& t,
+                                     uint64_t seq) {
+  const bool bounded = window_.size() != kInfiniteDuration;
+  ++g.rows;
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& a = aggs_[i];
-    if (a.star || a.func == AggFunc::kCount) {
-      g.counts[i] += sign;
-      continue;
-    }
-    const Value& v = t.value(a.arg);
-    if (!v.is_numeric()) {
-      if (a.func == AggFunc::kMin || a.func == AggFunc::kMax) {
-        g.counts[i] += sign;  // extrema recomputed from window contents
+    switch (a.func) {
+      case AggFunc::kCount:  // COUNT(col) counts NULL rows too
+        ++g.counts[i];
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg: {
+        const Value& v = t.value(a.arg);
+        const Arg arg{v.is_numeric() ? v.NumericValue() : 0.0,
+                      v.is_numeric()};
+        if (arg.numeric) {
+          ++g.counts[i];
+          g.sums[i] += arg.value;
+        }
+        if (bounded) args_.push_back(arg);
+        break;
       }
-      continue;
-    }
-    g.counts[i] += sign;
-    if (a.func == AggFunc::kSum || a.func == AggFunc::kAvg) {
-      g.sums[i] += sign * v.NumericValue();
+      case AggFunc::kMin:
+      case AggFunc::kMax: {
+        const Value& v = t.value(a.arg);
+        if (v.is_null()) break;
+        const bool want_min = a.func == AggFunc::kMin;
+        std::deque<Candidate>& c = g.extrema[slot_[i]];
+        while (!c.empty() && Beats(v, c.back().value, want_min)) c.pop_back();
+        // An unbounded window never evicts its front, so nothing behind it
+        // could surface.
+        if (bounded || c.empty()) c.push_back({seq, v});
+        break;
+      }
     }
   }
 }
 
-Value WindowAggregateOperator::RecomputeExtremum(
-    const std::vector<Value>& key, size_t agg_index, bool want_min) const {
-  const AggSpec& a = aggs_[agg_index];
-  // Compared in place: the scan visits every group's rows.
-  auto in_group = [&](const Tuple& t) {
-    for (size_t j = 0; j < group_keys_.size(); ++j) {
-      if (t.value(group_keys_[j]) != key[j]) return false;
-    }
-    return true;
-  };
-  bool found = false;
-  Value best;
-  for (const auto& t : window_.contents()) {
-    if (!in_group(t)) continue;
-    const Value& v = t.value(a.arg);
-    if (v.is_null()) continue;
-    if (!found) {
-      best = v;
-      found = true;
-      continue;
-    }
-    auto cmp = v.Compare(best);
-    if (cmp.ok() && ((want_min && *cmp < 0) || (!want_min && *cmp > 0))) {
-      best = v;
+void WindowAggregateOperator::Evict(uint64_t seq, GroupMap::iterator group) {
+  GroupState& g = group->second;
+  --g.rows;
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    switch (aggs_[i].func) {
+      case AggFunc::kCount:
+        --g.counts[i];
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg: {
+        const Arg& arg = args_.front();
+        if (arg.numeric) {
+          --g.counts[i];
+          g.sums[i] -= arg.value;
+        }
+        args_.pop_front();
+        break;
+      }
+      case AggFunc::kMin:
+      case AggFunc::kMax: {
+        std::deque<Candidate>& c = g.extrema[slot_[i]];
+        if (!c.empty() && c.front().seq == seq) c.pop_front();
+        break;
+      }
     }
   }
-  return best;  // Null when the group has no rows
+  if (g.rows == 0) groups_.erase(group);
 }
 
-Value WindowAggregateOperator::Finalize(const GroupState& g, size_t agg_index,
-                                        const std::vector<Value>& key) const {
+Value WindowAggregateOperator::Finalize(const GroupState& g,
+                                        size_t agg_index) const {
   const AggSpec& a = aggs_[agg_index];
   switch (a.func) {
     case AggFunc::kCount:
@@ -110,9 +129,10 @@ Value WindowAggregateOperator::Finalize(const GroupState& g, size_t agg_index,
       return Value(g.sums[agg_index] /
                    static_cast<double>(g.counts[agg_index]));
     case AggFunc::kMin:
-      return RecomputeExtremum(key, agg_index, /*want_min=*/true);
-    case AggFunc::kMax:
-      return RecomputeExtremum(key, agg_index, /*want_min=*/false);
+    case AggFunc::kMax: {
+      const std::deque<Candidate>& c = g.extrema[slot_[agg_index]];
+      return c.empty() ? Value() : c.front().value;  // Null: no rows
+    }
   }
   return Value();
 }
@@ -121,31 +141,33 @@ void WindowAggregateOperator::Push(size_t port, const Tuple& tuple) {
   (void)port;
   const Timestamp now = tuple.timestamp();
 
-  // Evict expired tuples, updating their groups.
-  std::vector<Tuple> evicted;
-  window_.EvictExpired(now, &evicted);
-  for (const auto& victim : evicted) {
-    auto key = KeyOf(victim);
-    auto it = groups_.find(key);
-    if (it != groups_.end()) {
-      Apply(it->second, victim, -1);
-      if (it->second.count == 0) groups_.erase(it);
-    }
-  }
+  // Evict expired rows, updating their groups.
+  window_.EvictExpired(now, [this](uint64_t seq, GroupMap::iterator group) {
+    Evict(seq, group);
+  });
 
-  // Insert the arrival.
-  window_.Insert(tuple);
-  std::vector<Value> key = KeyOf(tuple);
-  GroupState& g = groups_[key];
-  Apply(g, tuple, +1);
+  // Insert the arrival; an unbounded window keeps no row of it.
+  key_.clear();
+  for (size_t i : group_keys_) key_.push_back(tuple.value(i));
+  auto it = groups_.find(key_);
+  if (it == groups_.end()) {
+    GroupState fresh;
+    fresh.sums.assign(aggs_.size(), 0.0);
+    fresh.counts.assign(aggs_.size(), 0);
+    fresh.extrema.resize(num_extrema_);
+    it = groups_.emplace(key_, std::move(fresh)).first;
+  }
+  const uint64_t seq = window_.size() == kInfiniteDuration
+                           ? 0
+                           : window_.Insert(now, it);
+  GroupState& g = it->second;
+  Insert(g, tuple, seq);
 
   // Emit the refreshed row of this group.
   std::vector<Value> out;
   out.reserve(output_schema_->num_attributes());
-  for (const auto& k : key) out.push_back(k);
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    out.push_back(Finalize(g, i, key));
-  }
+  for (const auto& k : it->first) out.push_back(k);
+  for (size_t i = 0; i < aggs_.size(); ++i) out.push_back(Finalize(g, i));
   Emit(Tuple(output_schema_, std::move(out), now));
 }
 

@@ -1,6 +1,7 @@
 #ifndef COSMOS_SPE_AGGREGATE_H_
 #define COSMOS_SPE_AGGREGATE_H_
 
+#include <deque>
 #include <map>
 #include <vector>
 
@@ -23,6 +24,12 @@ struct AggSpec {
 // (timestamp = arrival time). Evictions update state silently — the next
 // emission of a group reflects them; no retraction rows are produced (an
 // Istream-style simplification documented in DESIGN.md).
+//
+// Every aggregate is maintained incrementally, so the work per arrival does
+// not grow with the window: COUNT, SUM and AVG add on insert and subtract
+// on eviction; MIN and MAX read the front of a per-group monotonic deque of
+// candidates. The window keeps per row only what eviction needs, and an
+// unbounded window keeps no rows at all.
 class WindowAggregateOperator final : public Operator {
  public:
   // `group_keys` are input attribute indexes; the output schema lists the
@@ -34,6 +41,8 @@ class WindowAggregateOperator final : public Operator {
   void Push(size_t port, const Tuple& tuple) override;
 
   size_t num_groups() const { return groups_.size(); }
+  // Rows the window holds for eviction (0 for an unbounded window).
+  size_t num_rows() const { return window_.count(); }
 
  private:
   // Group key as a vector of values (ordered map keeps determinism).
@@ -41,28 +50,44 @@ class WindowAggregateOperator final : public Operator {
     bool operator()(const std::vector<Value>& a,
                     const std::vector<Value>& b) const;
   };
+  // A MIN/MAX candidate: a row's argument that no later row in the window
+  // beats.
+  struct Candidate {
+    uint64_t seq;
+    Value value;
+  };
   struct GroupState {
-    int64_t count = 0;           // rows in window
-    std::vector<double> sums;    // per numeric agg
-    std::vector<int64_t> counts; // per agg: rows contributing
+    int64_t rows = 0;             // rows in window
+    std::vector<double> sums;     // per agg (SUM/AVG)
+    std::vector<int64_t> counts;  // per agg: rows contributing
+    // Per MIN/MAX agg (in aggs_ order): candidates in seq order, the best
+    // at the front; ties keep the earliest row.
+    std::vector<std::deque<Candidate>> extrema;
+  };
+  using GroupMap = std::map<std::vector<Value>, GroupState, KeyLess>;
+  // A row's SUM/AVG argument; a non-numeric one adds nothing.
+  struct Arg {
+    double value;
+    bool numeric;
   };
 
-  std::vector<Value> KeyOf(const Tuple& t) const;
-  void Apply(GroupState& g, const Tuple& t, int sign);
-  Value Finalize(const GroupState& g, size_t agg_index,
-                 const std::vector<Value>& key) const;
-  // MIN/MAX need the live window contents of the group; recomputed on
-  // demand (amortized fine for the workloads here).
-  Value RecomputeExtremum(const std::vector<Value>& key, size_t agg_index,
-                          bool want_min) const;
+  void Insert(GroupState& g, const Tuple& t, uint64_t seq);
+  void Evict(uint64_t seq, GroupMap::iterator group);
+  Value Finalize(const GroupState& g, size_t agg_index) const;
 
-  Duration window_size_;
   std::vector<size_t> group_keys_;
   std::vector<AggSpec> aggs_;
   std::shared_ptr<const Schema> output_schema_;
+  // Per MIN/MAX agg: its index among a group's extrema.
+  std::vector<size_t> slot_;
+  size_t num_extrema_ = 0;
 
-  WindowBuffer window_;
-  std::map<std::vector<Value>, GroupState, KeyLess> groups_;
+  // A row of the window is its group's map entry (node-stable); its SUM/AVG
+  // arguments sit in args_, one per SUM/AVG agg, in the same order.
+  WindowBuffer<GroupMap::iterator> window_;
+  std::deque<Arg> args_;
+  GroupMap groups_;
+  std::vector<Value> key_;  // scratch: the arriving tuple's group key
 };
 
 }  // namespace cosmos

@@ -4,18 +4,13 @@ namespace cosmos {
 
 bool LazyPredicate::Matches(const Tuple& tuple) {
   if (expr_ == nullptr) return true;
-  const std::shared_ptr<const Schema>& key = tuple.schema();
-  auto it = bound_.find(key);
-  if (it == bound_.end()) {
-    auto bound = BoundPredicate::Bind(expr_, *tuple.schema());
-    std::shared_ptr<BoundPredicate> ptr;
-    if (bound.ok()) {
-      ptr = std::make_shared<BoundPredicate>(std::move(bound).value());
-    }
-    it = bound_.emplace(key, std::move(ptr)).first;
-  }
-  if (it->second == nullptr) return false;  // unbindable => no match
-  return it->second->Matches(tuple);
+  const std::optional<BoundPredicate>& bound =
+      bound_.Get(tuple.schema(), [&]() -> std::optional<BoundPredicate> {
+        auto b = BoundPredicate::Bind(expr_, *tuple.schema());
+        if (!b.ok()) return std::nullopt;
+        return std::move(b).value();
+      });
+  return bound.has_value() && bound->Matches(tuple);  // unbindable: no match
 }
 
 void SelectOperator::Push(size_t port, const Tuple& tuple) {
@@ -25,18 +20,15 @@ void SelectOperator::Push(size_t port, const Tuple& tuple) {
 
 void AdaptOperator::Push(size_t port, const Tuple& tuple) {
   (void)port;
-  const std::shared_ptr<const Schema>& key = tuple.schema();
-  auto it = mappings_.find(key);
-  if (it == mappings_.end()) {
-    std::vector<int> mapping;
-    mapping.reserve(target_->num_attributes());
+  const std::vector<int>& mapping = mappings_.Get(tuple.schema(), [&] {
+    std::vector<int> m;
+    m.reserve(target_->num_attributes());
     for (const auto& attr : target_->attributes()) {
       auto idx = tuple.schema()->IndexOf(attr.name);
-      mapping.push_back(idx.has_value() ? static_cast<int>(*idx) : -1);
+      m.push_back(idx.has_value() ? static_cast<int>(*idx) : -1);
     }
-    it = mappings_.emplace(key, std::move(mapping)).first;
-  }
-  const std::vector<int>& mapping = it->second;
+    return m;
+  });
   std::vector<Value> values;
   values.reserve(mapping.size());
   for (int idx : mapping) {

@@ -3,7 +3,7 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "expr/evaluator.h"
@@ -51,12 +51,8 @@ class LazyPredicate {
 
  private:
   ExprPtr expr_;
-  // Keyed by pointer identity, but the shared_ptr key RETAINS the schema so
-  // a freed schema's address can never be reused for a different layout
-  // while its binding is cached.
-  std::unordered_map<std::shared_ptr<const Schema>,
-                     std::shared_ptr<BoundPredicate>>
-      bound_;
+  // Per input schema: the bound predicate, or nullopt when unbindable.
+  SchemaMemo<std::optional<BoundPredicate>> bound_;
 };
 
 // Filters by a predicate.
@@ -83,10 +79,8 @@ class AdaptOperator final : public Operator {
 
  private:
   std::shared_ptr<const Schema> target_;
-  // Per input schema (retained — see LazyPredicate): index of each target
-  // attribute, or -1 marker.
-  std::unordered_map<std::shared_ptr<const Schema>, std::vector<int>>
-      mappings_;
+  // Per input schema: index of each target attribute, or -1 marker.
+  SchemaMemo<std::vector<int>> mappings_;
 };
 
 // Projects fixed indexes onto an output schema (optionally renaming).

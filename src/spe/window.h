@@ -1,36 +1,60 @@
 #ifndef COSMOS_SPE_WINDOW_H_
 #define COSMOS_SPE_WINDOW_H_
 
+#include <cstdint>
 #include <deque>
+#include <utility>
 
 #include "common/time.h"
-#include "stream/tuple.h"
 
 namespace cosmos {
 
-// A time-based sliding window buffer w(T) (paper §4): holds the tuples with
-// timestamps in (now - T, now]. Insertion must be in non-decreasing
-// timestamp order.
+// A time-based sliding window w(T) (paper §4) of rows in arrival order:
+// holds the rows with timestamps in [now - T, now]. A row is whatever its
+// owner needs back at eviction, never a whole tuple. Rows are numbered by
+// arrival (their seq), so an owner can tell which of its rows leaves.
+// Insertion must be in non-decreasing timestamp order.
+template <typename Row>
 class WindowBuffer {
  public:
   explicit WindowBuffer(Duration size) : size_(size) {}
 
   Duration size() const { return size_; }
 
-  void Insert(const Tuple& tuple) { tuples_.push_back(tuple); }
+  // Appends `row` stamped `ts`; returns its seq.
+  uint64_t Insert(Timestamp ts, Row row) {
+    rows_.push_back({ts, std::move(row)});
+    return front_seq_ + rows_.size() - 1;
+  }
 
-  // Evicts tuples that fell out of the window as of time `now`: those with
-  // timestamp < now - T (unbounded windows never evict). Returns the number
-  // evicted; when `evicted` is non-null the victims are appended to it.
-  size_t EvictExpired(Timestamp now, std::vector<Tuple>* evicted = nullptr);
+  // Evicts the rows that fell out of the window as of time `now` (those
+  // with timestamp < now - T; unbounded windows never evict), oldest first,
+  // calling `on_evict(seq, row)` on each. Returns the number evicted.
+  template <typename OnEvict>
+  size_t EvictExpired(Timestamp now, OnEvict&& on_evict) {
+    if (size_ == kInfiniteDuration) return 0;
+    const Timestamp cutoff = now - size_;
+    size_t n = 0;
+    while (!rows_.empty() && rows_.front().ts < cutoff) {
+      on_evict(front_seq_, rows_.front().row);
+      rows_.pop_front();
+      ++front_seq_;
+      ++n;
+    }
+    return n;
+  }
 
-  const std::deque<Tuple>& contents() const { return tuples_; }
-  bool empty() const { return tuples_.empty(); }
-  size_t count() const { return tuples_.size(); }
+  size_t count() const { return rows_.size(); }
 
  private:
+  struct Entry {
+    Timestamp ts;
+    Row row;
+  };
+
   Duration size_;
-  std::deque<Tuple> tuples_;
+  std::deque<Entry> rows_;
+  uint64_t front_seq_ = 0;  // seq of rows_.front()
 };
 
 }  // namespace cosmos

@@ -1,9 +1,11 @@
 #ifndef COSMOS_STREAM_SCHEMA_H_
 #define COSMOS_STREAM_SCHEMA_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -63,6 +65,41 @@ class Schema {
   std::string stream_name_;
   std::vector<AttributeDef> attributes_;
   std::unordered_map<std::string, size_t> index_;
+};
+
+// What a per-schema cache keeps for each input schema it has seen (a CBN
+// bucket's projection plans, a matcher's column offsets, an SPE operator's
+// column mapping or bound predicate), found by schema address. An entry
+// holds its schema, so no other schema can take that address while the
+// entry lives. A miss first drops the entries whose schema only this memo
+// still holds: such a schema can never arrive again, so one retired by
+// churn is freed instead of piling up.
+template <typename T>
+class SchemaMemo {
+ public:
+  // The entry for `schema`, made by `make()` on a miss. The reference stays
+  // valid until the next miss.
+  template <typename Make>
+  T& Get(const std::shared_ptr<const Schema>& schema, Make make) {
+    for (auto& [held, value] : entries_) {
+      if (held.get() == schema.get()) return value;
+    }
+    std::erase_if(entries_, [](const auto& entry) {
+      return entry.first.use_count() == 1;
+    });
+    return entries_.emplace_back(schema, make()).second;
+  }
+
+  // Calls `f` on every entry's value.
+  template <typename F>
+  void ForEach(F f) {
+    for (auto& entry : entries_) f(entry.second);
+  }
+
+  size_t size() const { return entries_.size(); }
+
+ private:
+  std::vector<std::pair<std::shared_ptr<const Schema>, T>> entries_;
 };
 
 }  // namespace cosmos

@@ -5,8 +5,12 @@
 namespace cosmos {
 
 void Histogram::Observe(uint64_t v) {
-  // bucket 0 <=> v == 0; otherwise 1 + floor(log2(v)).
-  size_t bucket = v == 0 ? 0 : static_cast<size_t>(std::bit_width(v));
+  size_t bucket = static_cast<size_t>(v);
+  if (v >= 8) {
+    const int w = std::bit_width(v);
+    bucket = 4 * static_cast<size_t>(w - 2) +
+             static_cast<size_t>((v >> (w - 3)) & 3);
+  }
   ++buckets_[bucket];
   ++count_;
   sum_ += v;
@@ -14,9 +18,11 @@ void Histogram::Observe(uint64_t v) {
 }
 
 uint64_t Histogram::BucketUpperBound(size_t i) {
-  if (i == 0) return 0;
-  if (i >= 64) return ~uint64_t{0};
-  return (uint64_t{1} << i) - 1;
+  if (i < 8) return i;
+  // Bucket i covers [(4 + sub) << shift, (5 + sub) << shift).
+  const size_t shift = i / 4 - 1;
+  const uint64_t sub = i % 4;
+  return ((4 + sub) << shift) + ((uint64_t{1} << shift) - 1);
 }
 
 uint64_t Histogram::PercentileUpperBound(double p) const {

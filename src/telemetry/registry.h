@@ -43,13 +43,15 @@ class Gauge {
   double value_ = 0.0;
 };
 
-// Log2-bucketed histogram of non-negative integer observations (bytes per
-// datagram, tuples per evaluation, microseconds per span). Bucket i counts
-// observations v with floor(log2(v)) == i - 1; bucket 0 counts v == 0, so
-// the upper bound of bucket i is 2^i - 1.
+// Histogram of non-negative integer observations (bytes per datagram,
+// tuples per evaluation, nanoseconds per match) with log-linear buckets:
+// each power-of-two octave splits into 4 equal sub-buckets, so a bucket's
+// upper bound is within 25% of any value in it. Values 0-7 get a bucket
+// each; from 8 up, value v with w = bit_width(v) lands in bucket
+// 4 * (w - 2) + (the two bits of v below its top bit).
 class Histogram {
  public:
-  static constexpr size_t kBuckets = 65;
+  static constexpr size_t kBuckets = 252;
 
   void Observe(uint64_t v);
 
@@ -62,7 +64,8 @@ class Histogram {
   static uint64_t BucketUpperBound(size_t i);
 
   // Smallest bucket upper bound with >= p (in [0,1]) of the mass at or
-  // below it; 0 when empty. A coarse quantile, exact to the bucket width.
+  // below it; 0 when empty. A quantile exact to the bucket width: at most
+  // 25% above the true value.
   uint64_t PercentileUpperBound(double p) const;
 
   void Reset();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+#include <string>
+
 namespace cosmos {
 namespace {
 
@@ -130,6 +134,159 @@ TEST(WindowAggregate, EmissionTimestampIsArrivalTime) {
   agg.Push(0, In(1, 0, 77));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].timestamp(), 77);
+}
+
+// ---- Reference check: every emitted row against a whole-window rescan ----
+
+// Input rows for the rescan check: a two-column group key, a numeric and a
+// string argument, either of which may be NULL.
+std::shared_ptr<const Schema> RescanInSchema() {
+  return std::make_shared<Schema>(
+      "S", std::vector<AttributeDef>{{"g1", ValueType::kInt64},
+                                     {"g2", ValueType::kString},
+                                     {"v", ValueType::kDouble},
+                                     {"s", ValueType::kString}});
+}
+
+// Reference MIN/MAX by rescan: walk the group's rows in arrival order, keep
+// the first non-NULL value and replace it only by a strictly better one.
+Value RescanExtremum(const std::vector<const Tuple*>& rows, size_t arg,
+                     bool want_min) {
+  bool found = false;
+  Value best;
+  for (const Tuple* t : rows) {
+    const Value& v = t->value(arg);
+    if (v.is_null()) continue;
+    if (!found) {
+      best = v;
+      found = true;
+      continue;
+    }
+    auto cmp = v.Compare(best);
+    if (cmp.ok() && ((want_min && *cmp < 0) || (!want_min && *cmp > 0))) {
+      best = v;
+    }
+  }
+  return best;
+}
+
+// The row the operator must emit on the arrival of `seen.back()`,
+// recomputed from every row in the window; `window_rows` receives the
+// number of rows (of all groups) the window holds.
+std::vector<Value> RescanRow(const std::vector<Tuple>& seen, Duration window,
+                             const std::vector<size_t>& keys,
+                             const std::vector<AggSpec>& aggs,
+                             size_t* window_rows) {
+  const Tuple& now = seen.back();
+  const Timestamp cutoff = window == kInfiniteDuration
+                               ? std::numeric_limits<Timestamp>::min()
+                               : now.timestamp() - window;
+  std::vector<const Tuple*> group;
+  *window_rows = 0;
+  for (const Tuple& t : seen) {
+    if (t.timestamp() < cutoff) continue;
+    ++*window_rows;
+    bool same = true;
+    for (size_t k : keys) same = same && t.value(k) == now.value(k);
+    if (same) group.push_back(&t);
+  }
+  std::vector<Value> row;
+  for (size_t k : keys) row.push_back(now.value(k));
+  for (const AggSpec& a : aggs) {
+    double sum = 0.0;
+    int64_t numeric = 0;
+    if (!a.star) {
+      for (const Tuple* t : group) {
+        if (!t->value(a.arg).is_numeric()) continue;
+        sum += t->value(a.arg).NumericValue();
+        ++numeric;
+      }
+    }
+    switch (a.func) {
+      case AggFunc::kCount:  // COUNT(col) counts NULL rows too
+        row.emplace_back(static_cast<int64_t>(group.size()));
+        break;
+      case AggFunc::kSum:
+        row.emplace_back(sum);
+        break;
+      case AggFunc::kAvg:
+        row.push_back(numeric == 0 ? Value()
+                                   : Value(sum / static_cast<double>(numeric)));
+        break;
+      case AggFunc::kMin:
+        row.push_back(RescanExtremum(group, a.arg, /*want_min=*/true));
+        break;
+      case AggFunc::kMax:
+        row.push_back(RescanExtremum(group, a.arg, /*want_min=*/false));
+        break;
+    }
+  }
+  return row;
+}
+
+std::string Render(const std::vector<Value>& row) {
+  std::string s;
+  for (const Value& v : row) {
+    s += v.ToString();
+    s += ' ';
+  }
+  return s;
+}
+
+TEST(WindowAggregate, MatchesWholeWindowRescan) {
+  // Small integral values make SUM exact in any order and give value ties;
+  // a third of the arrivals share the previous timestamp.
+  const std::vector<size_t> keys = {0, 1};
+  const std::vector<AggSpec> aggs = {
+      {AggFunc::kCount, true, 0}, {AggFunc::kCount, false, 2},
+      {AggFunc::kSum, false, 2},  {AggFunc::kAvg, false, 2},
+      {AggFunc::kMin, false, 2},  {AggFunc::kMax, false, 2},
+      {AggFunc::kMin, false, 3},  {AggFunc::kMax, false, 3}};
+  std::vector<AttributeDef> out_attrs = {{"g1", ValueType::kInt64},
+                                         {"g2", ValueType::kString}};
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    std::string name = "a";
+    name += std::to_string(i);
+    out_attrs.emplace_back(std::move(name), ValueType::kDouble);
+  }
+  auto out_schema = std::make_shared<Schema>("out", out_attrs);
+  const char* names[] = {"ant", "bee", "cat", "dog"};
+
+  // [Now], short, long and unbounded windows.
+  for (Duration window : {Duration{0}, Duration{3}, Duration{25},
+                          kInfiniteDuration}) {
+    SCOPED_TRACE(window);
+    WindowAggregateOperator agg(window, keys, aggs, out_schema);
+    std::vector<Tuple> out;
+    agg.SetSink([&](const Tuple& t) { out.push_back(t); });
+    std::mt19937 rng(12345);
+    std::vector<Tuple> seen;
+    Timestamp ts = 0;
+    for (int n = 0; n < 1500; ++n) {
+      if (rng() % 3 != 0) ts += 1 + rng() % 3;
+      Value v;  // NULL one time in 7
+      if (rng() % 7 != 0) v = Value(static_cast<double>(rng() % 6));
+      Value s;
+      if (rng() % 7 != 0) s = Value(names[rng() % 4]);
+      Value g1(static_cast<int64_t>(rng() % 3));
+      Value g2(rng() % 2 ? "x" : "y");
+      seen.emplace_back(RescanInSchema(),
+                        std::vector<Value>{std::move(g1), std::move(g2),
+                                           std::move(v), std::move(s)},
+                        ts);
+      agg.Push(0, seen.back());
+      size_t window_rows = 0;
+      const std::vector<Value> want =
+          RescanRow(seen, window, keys, aggs, &window_rows);
+      ASSERT_EQ(out.size(), seen.size());
+      ASSERT_TRUE(out.back().values() == want)
+          << "arrival " << n << ": emitted " << Render(out.back().values())
+          << ", rescan " << Render(want);
+      EXPECT_EQ(out.back().timestamp(), ts);
+      ASSERT_EQ(agg.num_rows(),
+                window == kInfiniteDuration ? 0u : window_rows);
+    }
+  }
 }
 
 }  // namespace

@@ -79,6 +79,35 @@ TEST(AdaptOperator, DropsTuplesMissingTargetAttributes) {
   EXPECT_EQ(n, 0);
 }
 
+TEST(AdaptOperator, FreesRetiredInputSchemas) {
+  // The operator keeps a seen input schema alive only while something else
+  // holds it too: the next new schema frees one nobody else holds.
+  auto target = std::make_shared<Schema>(
+      "S", std::vector<AttributeDef>{{"b", ValueType::kDouble}});
+  AdaptOperator op(target);
+  int n = 0;
+  op.SetSink([&](const Tuple&) { ++n; });
+  auto a = ABSchema();
+  std::weak_ptr<const Schema> retired = a;
+  op.Push(0, Tuple(std::move(a), {Value(int64_t{1}), Value(2.0)}, 0));
+  EXPECT_FALSE(retired.expired());  // still cached
+  op.Push(0, MakeTuple(3, 4.0, 1));
+  EXPECT_TRUE(retired.expired());
+  EXPECT_EQ(n, 2);
+}
+
+TEST(SelectOperator, FreesRetiredInputSchemas) {
+  SelectOperator op(*ParseExpression("a >= 5"));
+  int n = 0;
+  op.SetSink([&](const Tuple&) { ++n; });
+  auto a = ABSchema();
+  std::weak_ptr<const Schema> retired = a;
+  op.Push(0, Tuple(std::move(a), {Value(int64_t{7}), Value(0.0)}, 0));
+  op.Push(0, MakeTuple(9, 0.0, 1));
+  EXPECT_TRUE(retired.expired());
+  EXPECT_EQ(n, 2);
+}
+
 TEST(ProjectOperator, MapsIndexes) {
   auto out_schema = std::make_shared<Schema>(
       "out", std::vector<AttributeDef>{{"renamed", ValueType::kInt64}});
@@ -91,39 +120,55 @@ TEST(ProjectOperator, MapsIndexes) {
   EXPECT_EQ(out[0].value(0).AsInt64(), 9);
 }
 
+// The window's rows here are plain ints; `evicted` collects (seq, row).
+using Evicted = std::vector<std::pair<uint64_t, int>>;
+
+size_t Evict(WindowBuffer<int>& w, Timestamp now, Evicted* evicted) {
+  return w.EvictExpired(now, [&](uint64_t seq, int row) {
+    evicted->emplace_back(seq, row);
+  });
+}
+
 TEST(WindowBuffer, EvictsExpired) {
-  WindowBuffer w(10);
-  w.Insert(MakeTuple(1, 0, 0));
-  w.Insert(MakeTuple(2, 0, 5));
-  w.Insert(MakeTuple(3, 0, 10));
-  std::vector<Tuple> evicted;
-  // At now=12, cutoff = 2: tuple at ts=0 leaves.
-  EXPECT_EQ(w.EvictExpired(12, &evicted), 1u);
+  WindowBuffer<int> w(10);
+  EXPECT_EQ(w.Insert(0, 1), 0u);
+  EXPECT_EQ(w.Insert(5, 2), 1u);
+  EXPECT_EQ(w.Insert(10, 3), 2u);
+  Evicted evicted;
+  // At now=12, cutoff = 2: the row at ts=0 leaves.
+  EXPECT_EQ(Evict(w, 12, &evicted), 1u);
   EXPECT_EQ(w.count(), 2u);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].timestamp(), 0);
+  EXPECT_EQ(evicted, (Evicted{{0, 1}}));
+  // Seqs keep counting across evictions.
+  EXPECT_EQ(w.Insert(20, 4), 3u);
+  EXPECT_EQ(Evict(w, 21, &evicted), 2u);
+  EXPECT_EQ(evicted, (Evicted{{0, 1}, {1, 2}, {2, 3}}));
 }
 
 TEST(WindowBuffer, BoundaryTupleStays) {
-  WindowBuffer w(10);
-  w.Insert(MakeTuple(1, 0, 0));
+  WindowBuffer<int> w(10);
+  w.Insert(0, 1);
+  Evicted evicted;
   // cutoff = now - T = 0: ts=0 is still inside [now-T, now].
-  EXPECT_EQ(w.EvictExpired(10, nullptr), 0u);
-  EXPECT_EQ(w.EvictExpired(11, nullptr), 1u);
+  EXPECT_EQ(Evict(w, 10, &evicted), 0u);
+  EXPECT_EQ(Evict(w, 11, &evicted), 1u);
 }
 
 TEST(WindowBuffer, UnboundedNeverEvicts) {
-  WindowBuffer w(kInfiniteDuration);
-  for (int i = 0; i < 100; ++i) w.Insert(MakeTuple(i, 0, i));
-  EXPECT_EQ(w.EvictExpired(1'000'000'000, nullptr), 0u);
+  WindowBuffer<int> w(kInfiniteDuration);
+  for (int i = 0; i < 100; ++i) w.Insert(i, i);
+  Evicted evicted;
+  EXPECT_EQ(Evict(w, 1'000'000'000, &evicted), 0u);
+  EXPECT_TRUE(evicted.empty());
   EXPECT_EQ(w.count(), 100u);
 }
 
 TEST(WindowBuffer, NowWindowKeepsOnlyCurrentInstant) {
-  WindowBuffer w(0);
-  w.Insert(MakeTuple(1, 0, 5));
-  EXPECT_EQ(w.EvictExpired(5, nullptr), 0u);  // same instant survives
-  EXPECT_EQ(w.EvictExpired(6, nullptr), 1u);
+  WindowBuffer<int> w(0);
+  w.Insert(5, 1);
+  Evicted evicted;
+  EXPECT_EQ(Evict(w, 5, &evicted), 0u);  // same instant survives
+  EXPECT_EQ(Evict(w, 6, &evicted), 1u);
 }
 
 }  // namespace

@@ -69,20 +69,50 @@ TEST(Histogram, Log2BucketsAndPercentiles) {
   EXPECT_EQ(h.count(), 5u);
   EXPECT_EQ(h.sum(), 1006u);
   EXPECT_EQ(h.max(), 1000u);
-  // v == 0 lands in bucket 0 (upper bound 0); v in [2^(i-1), 2^i - 1] in
-  // bucket i.
-  EXPECT_EQ(h.buckets()[0], 1u);  // 0
-  EXPECT_EQ(h.buckets()[1], 1u);  // 1
-  EXPECT_EQ(h.buckets()[2], 2u);  // 2, 3
+  // Values 0-7 have a bucket each; above, each octave has 4 sub-buckets:
+  // 1000 lands in [896, 1023], bucket 4 * (10 - 2) + 3.
+  EXPECT_EQ(h.buckets()[0], 1u);
+  EXPECT_EQ(h.buckets()[1], 1u);
+  EXPECT_EQ(h.buckets()[2], 1u);
+  EXPECT_EQ(h.buckets()[3], 1u);
+  EXPECT_EQ(h.buckets()[35], 1u);
   EXPECT_EQ(Histogram::BucketUpperBound(0), 0u);
-  EXPECT_EQ(Histogram::BucketUpperBound(1), 1u);
-  EXPECT_EQ(Histogram::BucketUpperBound(3), 7u);
-  // 4 of 5 observations are <= 3, so p80 resolves to bucket 2's bound.
+  EXPECT_EQ(Histogram::BucketUpperBound(7), 7u);
+  EXPECT_EQ(Histogram::BucketUpperBound(8), 9u);  // [8, 9]
+  EXPECT_EQ(Histogram::BucketUpperBound(35), 1023u);
+  EXPECT_EQ(Histogram::BucketUpperBound(Histogram::kBuckets - 1),
+            ~uint64_t{0});
+  // 4 of 5 observations are <= 3, so p80 resolves to bucket 3's bound.
   EXPECT_EQ(h.PercentileUpperBound(0.8), 3u);
-  EXPECT_GE(h.PercentileUpperBound(1.0), 1000u);
+  EXPECT_EQ(h.PercentileUpperBound(1.0), 1023u);
   h.Reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.PercentileUpperBound(0.5), 0u);
+}
+
+TEST(Histogram, BucketBoundWithinAQuarterOfTheValue) {
+  // A lone observation's percentile is its bucket's upper bound: never
+  // below the value and at most 25% above it.
+  Histogram h;
+  auto bound_of = [&h](uint64_t v) {
+    h.Reset();
+    h.Observe(v);
+    return h.PercentileUpperBound(0.5);
+  };
+  for (uint64_t v = 0; v < 5000; ++v) {
+    const uint64_t bound = bound_of(v);
+    ASSERT_GE(bound, v);
+    ASSERT_LE(bound - v, v / 4) << v;
+  }
+  for (int shift = 13; shift < 64; ++shift) {
+    const uint64_t v = (uint64_t{5} << (shift - 2)) + 12345;
+    EXPECT_GE(bound_of(v), v);
+    EXPECT_LE(bound_of(v) - v, v / 4);
+  }
+  EXPECT_EQ(bound_of(~uint64_t{0}), ~uint64_t{0});
+  // Match latencies of 150 ns and 240 ns no longer share a bucket.
+  EXPECT_EQ(bound_of(150), 159u);
+  EXPECT_EQ(bound_of(240), 255u);
 }
 
 TEST(Tracer, DisabledRecordsNothing) {
