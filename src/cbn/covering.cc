@@ -67,10 +67,8 @@ Profile MergeProfiles(const Profile& a, const Profile& b) {
     for (const auto& stream : p->streams()) {
       // Widen projections to the union of *required* attribute sets so
       // early projection upstream keeps everything either side needs.
-      std::vector<std::string> req = p->RequiredAttributes(stream);
-      out.AddStream(stream, std::move(req));
-      // "All attributes" dominates.
-      if (p->ProjectionOf(stream).empty()) out.AddStream(stream, {});
+      // An empty set ("all attributes") widens the union to all.
+      out.AddStream(stream, p->RequiredAttributes(stream));
     }
   }
   // Concatenate filters, pruning ones covered by an already-kept filter.

@@ -6,10 +6,10 @@
 namespace cosmos {
 
 // Covering relations between filters and profiles, used for subscription
-// aggregation: a processor merges the source profiles of its groups into
-// one subscription, dropping filters another filter covers. All tests are
-// sound and conservative — a "true" is a guarantee, a "false" means "could
-// not prove".
+// aggregation: a processor merges its groups' source profiles into one
+// subscription per stream, dropping filters another filter covers. All
+// tests are sound and conservative — a "true" is a guarantee, a "false"
+// means "could not prove".
 
 // True iff every datagram covered by `narrow` is covered by `wide`
 // (requires same stream and clause implication).

@@ -112,15 +112,12 @@ void ContentBasedNetwork::Advertise(NodeId node, const std::string& stream) {
 
 void ContentBasedNetwork::Advertise(NodeId node, StreamId stream) {
   COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
-  if (!State(stream).publishers.insert(node).second) return;  // known
+  StreamState& st = State(stream);
+  if (!st.publishers.insert(node).second) return;  // known
   // A new publisher appeared: existing subscriptions interested in this
   // stream need routing entries along the new publisher->subscriber paths.
-  for (const auto& [id, sub] : subscriptions_) {
-    const std::vector<StreamId>& wanted = sub.prepared->streams;
-    if (std::find(wanted.begin(), wanted.end(), stream) == wanted.end()) {
-      continue;
-    }
-    InstallAlongPath(node, sub.node, id, sub.prepared);
+  for (ProfileId id : st.subscribers) {
+    InstallAlongPath(node, id, subscriptions_.at(id));
   }
 }
 
@@ -131,43 +128,52 @@ ProfileId ContentBasedNetwork::Subscribe(NodeId node, Profile profile,
   auto prepared = RoutingTable::Prepare(
       std::make_shared<const Profile>(std::move(profile)), *streams_);
   routers_[node].AddLocal(id, prepared->profile, callback);
-  subscriptions_[id] = Subscription{node, prepared, std::move(callback)};
-  PropagateSubscription(node, id, prepared);
+  for (StreamId stream : prepared->streams) {
+    State(stream).subscribers.insert(id);
+  }
+  Subscription& sub = subscriptions_[id] =
+      Subscription{node, std::move(prepared), std::move(callback), {}};
+  PropagateSubscription(id, sub);
   return id;
 }
 
-void ContentBasedNetwork::InstallAlongPath(
-    NodeId publisher, NodeId subscriber, ProfileId id,
-    const RoutingTable::PreparedPtr& prepared) {
-  auto path = tree_.Path(publisher, subscriber);
+void ContentBasedNetwork::InstallAlongPath(NodeId publisher, ProfileId id,
+                                           Subscription& sub) {
+  auto path = tree_.Path(publisher, sub.node);
   // path runs publisher -> ... -> subscriber; at each intermediate node the
   // entry points to the next hop (toward the subscriber).
   for (size_t i = 0; i + 1 < path.size(); ++i) {
-    NodeId node = path[i];
-    NodeId toward = path[i + 1];
-    RoutingTable& table = routers_[node].table();
-    if (!table.Contains(toward, id)) {
-      table.Add(toward, id, prepared);
-      control_counter_->Increment();
+    const std::pair<NodeId, NodeId> entry(path[i], path[i + 1]);
+    if (std::find(sub.entries.begin(), sub.entries.end(), entry) !=
+        sub.entries.end()) {
+      continue;
     }
+    routers_[entry.first].table().Add(entry.second, id, sub.prepared);
+    sub.entries.push_back(entry);
+    control_counter_->Increment();
   }
 }
 
-void ContentBasedNetwork::PropagateSubscription(
-    NodeId subscriber, ProfileId id,
-    const RoutingTable::PreparedPtr& prepared) {
-  for (StreamId stream : prepared->streams) {
-    for (NodeId p : State(stream).publishers) {
-      InstallAlongPath(p, subscriber, id, prepared);
-    }
+void ContentBasedNetwork::PropagateSubscription(ProfileId id,
+                                                Subscription& sub) {
+  for (StreamId stream : sub.prepared->streams) {
+    for (NodeId p : State(stream).publishers) InstallAlongPath(p, id, sub);
   }
 }
 
 bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
   auto it = subscriptions_.find(id);
   if (it == subscriptions_.end()) return false;
-  routers_[it->second.node].RemoveLocal(id);
-  for (auto& r : routers_) r.table().RemoveEverywhere(id);
+  const Subscription& sub = it->second;
+  routers_[sub.node].RemoveLocal(id);
+  for (const auto& [node, link] : sub.entries) {
+    const bool removed = routers_[node].table().Remove(link, id);
+    COSMOS_DCHECK(removed) << "subscription " << id << " lost its entry on "
+                           << node << " toward " << link;
+  }
+  for (StreamId stream : sub.prepared->streams) {
+    State(stream).subscribers.erase(id);
+  }
   subscriptions_.erase(it);
   return true;
 }
@@ -404,9 +410,10 @@ void ContentBasedNetwork::ReinstallAllSubscriptions() {
     // would silently stop counting.
     routers_[i].SetTelemetry(attached_metrics_);
   }
-  for (const auto& [id, sub] : subscriptions_) {
+  for (auto& [id, sub] : subscriptions_) {
     routers_[sub.node].AddLocal(id, sub.prepared->profile, sub.callback);
-    PropagateSubscription(sub.node, id, sub.prepared);
+    sub.entries.clear();
+    PropagateSubscription(id, sub);
   }
 }
 

@@ -79,8 +79,9 @@ class ContentBasedNetwork {
 
   // Declares that `node` publishes `stream` (idempotent) and installs the
   // entries of existing subscriptions to `stream` along the paths from
-  // `node` to their subscribers. Publish() advertises on first use, so an
-  // explicit call only installs the routes before the first datagram.
+  // `node` to their subscribers; it visits only those subscriptions.
+  // Publish() advertises on first use, so an explicit call only installs
+  // the routes before the first datagram.
   void Advertise(NodeId node, const std::string& stream);
 
   // Installs `profile` for a subscriber at `node`; `callback` fires on each
@@ -89,7 +90,8 @@ class ContentBasedNetwork {
                       DeliveryCallback callback);
 
   // Removes the subscription's local delivery and every routing entry it
-  // installed. False when `id` is unknown.
+  // installed, visiting only the nodes that hold one. False when `id` is
+  // unknown.
   bool Unsubscribe(ProfileId id);
 
   // Publishes a datagram from `node` (a source or a processor emitting a
@@ -182,6 +184,10 @@ class ContentBasedNetwork {
     NodeId node = -1;
     RoutingTable::PreparedPtr prepared;  // the profile, indexed once
     DeliveryCallback callback;
+    // Every routing entry it installed, as (node, link): on each node of
+    // its publisher paths, the link toward `node`. The tree path to `node`
+    // is unique, so a node holds at most one.
+    std::vector<std::pair<NodeId, NodeId>> entries;
   };
 
   // Where a datagram entered the network: its publisher and its place in
@@ -216,12 +222,13 @@ class ContentBasedNetwork {
     PayloadRef payload;
   };
 
-  void PropagateSubscription(NodeId subscriber, ProfileId id,
-                             const RoutingTable::PreparedPtr& prepared);
+  // Installs the subscription's entries along the paths from every
+  // advertised publisher of its streams.
+  void PropagateSubscription(ProfileId id, Subscription& sub);
   // Installs routing entries for one subscription along the tree path from
-  // `publisher` to `subscriber`; every new entry is one control message.
-  void InstallAlongPath(NodeId publisher, NodeId subscriber, ProfileId id,
-                        const RoutingTable::PreparedPtr& prepared);
+  // `publisher` to its subscriber, skipping the nodes listed in
+  // `sub.entries`; every new entry is one control message.
+  void InstallAlongPath(NodeId publisher, ProfileId id, Subscription& sub);
   // Cached handles of the stream-labeled counter families. Created lazily
   // on the first datagram of each stream, then plain pointer adds.
   struct StreamCounters {
@@ -237,8 +244,9 @@ class ContentBasedNetwork {
   };
   // Per-stream state, indexed by StreamId.
   struct StreamState {
-    std::set<NodeId> publishers;  // advertisements
-    StreamCounters counters;      // unbound (null) until first counted
+    std::set<NodeId> publishers;      // advertisements
+    std::set<ProfileId> subscribers;  // live subscriptions requesting it
+    StreamCounters counters;          // unbound (null) until first counted
   };
   StreamState& State(StreamId stream);
   // The stream's counters, bound on first use.

@@ -12,15 +12,14 @@ void Profile::AddStream(const std::string& stream,
   auto it = projections_.find(stream);
   if (it == projections_.end()) {
     projections_.emplace(stream, std::move(attributes));
-  } else if (!attributes.empty()) {
-    if (it->second.empty()) {
-      // Already "all attributes"; keep it (wider).
-    } else {
-      for (auto& a : attributes) {
-        if (std::find(it->second.begin(), it->second.end(), a) ==
-            it->second.end()) {
-          it->second.push_back(std::move(a));
-        }
+  } else if (attributes.empty()) {
+    it->second.clear();  // "all attributes" widens any set
+  } else if (!it->second.empty()) {
+    // A set widens to the union; "all attributes" stays (it is wider).
+    for (auto& a : attributes) {
+      if (std::find(it->second.begin(), it->second.end(), a) ==
+          it->second.end()) {
+        it->second.push_back(std::move(a));
       }
     }
   }

@@ -28,7 +28,8 @@ class Profile {
   Profile() = default;
 
   // Adds `stream` to S with projection set P(stream) = `attributes`
-  // (empty = all attributes).
+  // (empty = all attributes). Adding a stream again widens P(stream): to
+  // the union of the sets, or to all attributes when either is empty.
   void AddStream(const std::string& stream,
                  std::vector<std::string> attributes = {});
 

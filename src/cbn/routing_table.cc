@@ -196,15 +196,6 @@ size_t RoutingTable::RemoveEverywhere(ProfileId id) {
   return removed;
 }
 
-bool RoutingTable::Contains(NodeId link, ProfileId id) const {
-  auto it = entries_.find(link);
-  if (it == entries_.end()) return false;
-  for (const auto& e : it->second) {
-    if (e.id == id) return true;
-  }
-  return false;
-}
-
 size_t RoutingTable::CountOf(ProfileId id) const {
   size_t count = 0;
   for (const auto& [link, entries] : entries_) {

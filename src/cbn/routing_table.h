@@ -143,9 +143,6 @@ class RoutingTable {
   // Removes `id` from every link; returns number of entries removed.
   size_t RemoveEverywhere(ProfileId id);
 
-  // True when an entry with `id` exists on `link`.
-  bool Contains(NodeId link, ProfileId id) const;
-
   // Entries installed for `link` (empty when none).
   const std::vector<Entry>& EntriesFor(NodeId link) const;
 

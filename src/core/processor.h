@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 
 #include "cbn/network.h"
 #include "core/grouping.h"
@@ -29,10 +30,10 @@ struct ProcessorOptions {
 // A COSMOS processor (paper §2, Figure 2): the query layer of one node.
 // The query-management module analyzes arriving CQL, maintains query
 // groups, keeps the group representatives installed on the local SPE
-// (through the pluggable wrapper), keeps the source-side CBN subscriptions
-// in sync, publishes representative result streams back into the CBN, and
-// installs the re-tightened per-user profiles that split shared result
-// streams (Figure 3b).
+// (through the pluggable wrapper), keeps one source-side CBN subscription
+// per source stream in sync, publishes representative result streams back
+// into the CBN, and installs the re-tightened per-user profiles that split
+// shared result streams (Figure 3b).
 class Processor {
  public:
   Processor(NodeId node, const Catalog* catalog,
@@ -73,10 +74,27 @@ class Processor {
   void CollectFlows(std::vector<Flow>* flows) const;
 
  private:
+  // A representative's source profile split by stream: per stream it reads,
+  // that stream's projection and filters.
+  using SourceParts = std::map<std::string, Profile>;
+
   struct GroupRuntime {
     uint64_t installed_version = 0;
     std::string spe_query_id;
     std::string result_stream;
+    // The installed representative's source parts, composed once per
+    // installed version.
+    SourceParts source_parts;
+  };
+  // The processor holds one data-layer subscription per source stream: the
+  // union of its readers' parts for that stream. A tuple of the stream
+  // matches only that subscription, and each plan re-applies its own
+  // selection, so over-delivery is filtered at the SPE, never duplicated —
+  // a tuple enters the engine exactly once.
+  struct SourceSubscription {
+    ProfileId id = 0;
+    Profile profile;             // as subscribed
+    std::set<uint64_t> readers;  // groups whose parts read the stream
   };
   struct QueryRuntime {
     AnalyzedQuery analyzed;
@@ -88,15 +106,26 @@ class Processor {
   };
 
   // Brings the SPE installation and all member subscriptions of `group_id`
-  // in line with the grouping engine's current state.
+  // in line with the grouping engine's current state when its version
+  // changed (or it dissolved). An unchanged version touches nothing.
   Status SyncGroup(uint64_t group_id);
+  // Subscribes member `q`'s re-tightened profile on the result stream of
+  // representative `rep`.
+  Result<ProfileId> SubscribeMember(const QueryRuntime& q,
+                                    const AnalyzedQuery& rep);
   Status UninstallGroup(GroupRuntime& rt);
 
-  // The processor holds ONE data-layer subscription: the merged source
-  // profile of all installed representatives. Each plan re-applies its own
-  // selection, so over-delivery is filtered at the SPE, never duplicated —
-  // a tuple enters the engine exactly once.
-  void RefreshSourceSubscription();
+  // Brings the source subscriptions in line after group `group_id`'s parts
+  // changed from `before` to `after` (its runtime already holds `after`;
+  // both empty maps when it has none). Only the streams of the two maps are
+  // visited. A stream whose part only widened merges it into the
+  // subscription unless the subscription already covers it; any other
+  // stream's union is recomputed from its readers' parts. Either way the
+  // CBN is touched only when the union changed, and a new subscription is
+  // made before the old one retires, so coverage never lapses.
+  void UpdateSourceSubscriptions(uint64_t group_id, const SourceParts& before,
+                                 const SourceParts& after);
+  void Resubscribe(SourceSubscription& sub, Profile profile);
 
   NodeId node_;
   const Catalog* catalog_;
@@ -106,7 +135,7 @@ class Processor {
   NativeSpeWrapper wrapper_;
   std::map<uint64_t, GroupRuntime> group_runtime_;
   std::map<std::string, QueryRuntime> queries_;
-  ProfileId source_profile_ = 0;
+  std::map<std::string, SourceSubscription> sources_;  // by source stream
 };
 
 }  // namespace cosmos

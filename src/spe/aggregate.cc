@@ -56,15 +56,17 @@ void WindowAggregateOperator::Insert(GroupState& g, const Tuple& t,
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& a = aggs_[i];
     switch (a.func) {
-      case AggFunc::kCount:  // COUNT(col) counts NULL rows too
-        ++g.counts[i];
-        break;
+      case AggFunc::kCount:
       case AggFunc::kSum:
       case AggFunc::kAvg: {
+        if (a.star) break;  // COUNT(*) counts the group's rows
+        // COUNT(col) counts the non-NULL arguments, SUM and AVG add the
+        // numeric ones.
         const Value& v = t.value(a.arg);
-        const Arg arg{v.is_numeric() ? v.NumericValue() : 0.0,
-                      v.is_numeric()};
-        if (arg.numeric) {
+        const bool count = a.func == AggFunc::kCount;
+        const Arg arg{!count && v.is_numeric() ? v.NumericValue() : 0.0,
+                      count ? !v.is_null() : v.is_numeric()};
+        if (arg.counted) {
           ++g.counts[i];
           g.sums[i] += arg.value;
         }
@@ -93,12 +95,11 @@ void WindowAggregateOperator::Evict(uint64_t seq, GroupMap::iterator group) {
   for (size_t i = 0; i < aggs_.size(); ++i) {
     switch (aggs_[i].func) {
       case AggFunc::kCount:
-        --g.counts[i];
-        break;
       case AggFunc::kSum:
       case AggFunc::kAvg: {
+        if (aggs_[i].star) break;
         const Arg& arg = args_.front();
-        if (arg.numeric) {
+        if (arg.counted) {
           --g.counts[i];
           g.sums[i] -= arg.value;
         }
@@ -121,7 +122,7 @@ Value WindowAggregateOperator::Finalize(const GroupState& g,
   const AggSpec& a = aggs_[agg_index];
   switch (a.func) {
     case AggFunc::kCount:
-      return Value(static_cast<int64_t>(g.counts[agg_index]));
+      return Value(a.star ? g.rows : g.counts[agg_index]);
     case AggFunc::kSum:
       return Value(g.sums[agg_index]);
     case AggFunc::kAvg:

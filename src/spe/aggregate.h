@@ -27,9 +27,10 @@ struct AggSpec {
 //
 // Every aggregate is maintained incrementally, so the work per arrival does
 // not grow with the window: COUNT, SUM and AVG add on insert and subtract
-// on eviction; MIN and MAX read the front of a per-group monotonic deque of
-// candidates. The window keeps per row only what eviction needs, and an
-// unbounded window keeps no rows at all.
+// on eviction (COUNT(col) skips NULL arguments, as SQL does); MIN and MAX
+// read the front of a per-group monotonic deque of candidates. The window
+// keeps per row only what eviction needs, and an unbounded window keeps no
+// rows at all.
 class WindowAggregateOperator final : public Operator {
  public:
   // `group_keys` are input attribute indexes; the output schema lists the
@@ -59,16 +60,17 @@ class WindowAggregateOperator final : public Operator {
   struct GroupState {
     int64_t rows = 0;             // rows in window
     std::vector<double> sums;     // per agg (SUM/AVG)
-    std::vector<int64_t> counts;  // per agg: rows contributing
+    std::vector<int64_t> counts;  // per agg: rows counted (not COUNT(*))
     // Per MIN/MAX agg (in aggs_ order): candidates in seq order, the best
     // at the front; ties keep the earliest row.
     std::vector<std::deque<Candidate>> extrema;
   };
   using GroupMap = std::map<std::vector<Value>, GroupState, KeyLess>;
-  // A row's SUM/AVG argument; a non-numeric one adds nothing.
+  // A row's COUNT(col), SUM or AVG argument: whether it counts (non-NULL
+  // for COUNT, numeric for SUM and AVG) and what it adds to the sum.
   struct Arg {
     double value;
-    bool numeric;
+    bool counted;
   };
 
   void Insert(GroupState& g, const Tuple& t, uint64_t seq);
@@ -82,8 +84,9 @@ class WindowAggregateOperator final : public Operator {
   std::vector<size_t> slot_;
   size_t num_extrema_ = 0;
 
-  // A row of the window is its group's map entry (node-stable); its SUM/AVG
-  // arguments sit in args_, one per SUM/AVG agg, in the same order.
+  // A row of the window is its group's map entry (node-stable); its
+  // arguments sit in args_, one per COUNT(col), SUM or AVG agg, in the same
+  // order.
   WindowBuffer<GroupMap::iterator> window_;
   std::deque<Arg> args_;
   GroupMap groups_;

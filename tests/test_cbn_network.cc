@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/random.h"
 #include "overlay/spanning_tree.h"
@@ -279,13 +280,16 @@ Datagram LevelDatagram(double level) {
 
 TEST(Network, ChurnDeliversLikeAnUnprunedNetwork) {
   // Random subscribes and unsubscribes (one to four per step) of nested and
-  // overlapping interval profiles on two streams. After every step, the
-  // churned network must hold exactly the routing state of a network built
-  // fresh from the live subscriptions and the same publishers, and each
-  // live subscription must get exactly the hits it gets there.
+  // overlapping interval profiles on two streams. Halfway through, a new
+  // publisher advertises both streams under the live subscriptions. After
+  // every step, the churned network must hold exactly the routing state of
+  // a network built fresh from the live subscriptions and the same
+  // publishers, and each live subscription must get exactly the hits it
+  // gets there. An unsubscribed id must leave no entry on any router.
   constexpr int kNodes = 24;
   constexpr int kSteps = 120;
   const NodeId kPublishers[] = {0, kNodes / 2, kNodes - 1};
+  constexpr NodeId kLatePublisher = 5;
   struct Live {
     int slot;
     NodeId node;
@@ -310,8 +314,12 @@ TEST(Network, ChurnDeliversLikeAnUnprunedNetwork) {
         ++hits[net][slot];
       };
     };
+    bool late_advertised = false;
     auto publish_round = [&](ContentBasedNetwork& net) {
-      for (NodeId from : kPublishers) {
+      std::vector<NodeId> from_nodes(std::begin(kPublishers),
+                                     std::end(kPublishers));
+      if (late_advertised) from_nodes.push_back(kLatePublisher);
+      for (NodeId from : from_nodes) {
         for (int v = -10; v <= 40; v += 5) net.Publish(from, MakeDatagram(v, 0));
         for (int v = 0; v <= 100; v += 10) net.Publish(from, LevelDatagram(v));
       }
@@ -345,9 +353,22 @@ TEST(Network, ChurnDeliversLikeAnUnprunedNetwork) {
         size_t count = action < 0.8 ? 1 : 2 + rng.NextBounded(3);
         for (size_t i = 0; i < count && !live.empty(); ++i) {
           size_t pick = rng.NextBounded(live.size());
-          EXPECT_TRUE(churned.Unsubscribe(live[pick].id));
+          const ProfileId id = live[pick].id;
+          EXPECT_TRUE(churned.Unsubscribe(id));
+          for (NodeId n = 0; n < kNodes; ++n) {
+            ASSERT_EQ(churned.router(n).table().CountOf(id), 0u)
+                << "seed " << seed << " step " << step << " node " << n;
+          }
           live.erase(live.begin() + static_cast<long>(pick));
         }
+      }
+      if (step == kSteps / 2) {
+        const uint64_t messages = churned.control_messages();
+        churned.Advertise(kLatePublisher, "s");
+        churned.Advertise(kLatePublisher, "t");
+        late_advertised = true;
+        // The live subscriptions got routes from the new publisher.
+        EXPECT_GT(churned.control_messages(), messages) << "seed " << seed;
       }
 
       ContentBasedNetwork fresh(tree);

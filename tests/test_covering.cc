@@ -141,6 +141,25 @@ TEST(MergeProfiles, CoveredFiltersArePruned) {
   EXPECT_EQ(m.filters().size(), 1u);
 }
 
+TEST(MergeProfiles, AllAttributesWidenTheMergeInEitherOrder) {
+  // A narrow projection merged with an all-attributes one keeps every
+  // attribute, whichever side comes first, and covers both inputs.
+  Profile narrow;
+  narrow.AddStream("s", {"temp"});
+  narrow.AddFilter(Filter("s", Clause("temp > 10")));
+  Profile all;
+  all.AddStream("s");
+  all.AddFilter(Filter("s", Clause("temp < 0")));
+  for (const auto& [first, second] :
+       {std::pair{&narrow, &all}, std::pair{&all, &narrow}}) {
+    Profile m = MergeProfiles(*first, *second);
+    EXPECT_TRUE(m.ProjectionOf("s").empty());
+    EXPECT_TRUE(m.RequiredAttributes("s").empty());
+    EXPECT_TRUE(ProfileCovers(m, narrow));
+    EXPECT_TRUE(ProfileCovers(m, all));
+  }
+}
+
 TEST(MergeProfiles, UnconditionalSwallowsFilters) {
   Profile a;
   a.AddStream("s");  // unconditional

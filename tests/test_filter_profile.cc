@@ -101,6 +101,11 @@ TEST(Profile, AllAttributesDominatesUnion) {
   p.AddStream("sensor", {});  // all
   p.AddStream("sensor", {"temp"});
   EXPECT_TRUE(p.ProjectionOf("sensor").empty());
+  // In the other order, "all" widens the earlier set.
+  Profile q;
+  q.AddStream("sensor", {"temp"});
+  q.AddStream("sensor", {});
+  EXPECT_TRUE(q.ProjectionOf("sensor").empty());
 }
 
 TEST(Profile, RequiredAttributesIncludeFilterColumns) {

@@ -108,14 +108,6 @@ TEST(RoutingTable, RemoveEverywhereSweepsAllLinks) {
   EXPECT_EQ(t.Links(), (std::vector<NodeId>{3}));
 }
 
-TEST(RoutingTable, ContainsChecksLinkAndId) {
-  RoutingTable t;
-  t.Add(3, 1, MakeProfile(0, 10));
-  EXPECT_TRUE(t.Contains(3, 1));
-  EXPECT_FALSE(t.Contains(3, 2));
-  EXPECT_FALSE(t.Contains(5, 1));
-}
-
 TEST(RoutingTable, BucketForPartitionsByStream) {
   RoutingTable t;
   t.Add(3, 1, MakeProfile(0, 10));
@@ -253,7 +245,10 @@ TEST(RoutingTable, LinkIndexMirrorsEntriesUnderRandomChurn) {
         const ProfileId id = rng.NextBool(0.2) && !live.empty()
                                  ? live[rng.NextBounded(live.size())].second
                                  : next_id++;
-        if (t.Contains(link, id)) continue;
+        if (std::find(live.begin(), live.end(), std::make_pair(link, id)) !=
+            live.end()) {
+          continue;
+        }
         t.Add(link, id, p);
         live.emplace_back(link, id);
       } else if (op == 2) {

@@ -136,6 +136,31 @@ TEST(WindowAggregate, EmissionTimestampIsArrivalTime) {
   EXPECT_EQ(out[0].timestamp(), 77);
 }
 
+TEST(WindowAggregate, CountColumnSkipsNullMeasurements) {
+  // COUNT(v) counts the non-NULL measurements still in the window, COUNT(*)
+  // every row; an evicted NULL row must not take a count with it.
+  WindowAggregateOperator agg(
+      2, {0}, {{AggFunc::kCount, true, 0}, {AggFunc::kCount, false, 1}},
+      std::make_shared<Schema>(
+          "out", std::vector<AttributeDef>{{"g", ValueType::kInt64},
+                                           {"rows", ValueType::kInt64},
+                                           {"cnt", ValueType::kInt64}}));
+  std::vector<Tuple> out;
+  agg.SetSink([&](const Tuple& t) { out.push_back(t); });
+  auto push = [&](Value v, Timestamp ts) {
+    agg.Push(0, Tuple(InSchema(), {Value(int64_t{1}), std::move(v)}, ts));
+    return std::make_pair(out.back().value(1).AsInt64(),
+                          out.back().value(2).AsInt64());
+  };
+  using Counts = std::pair<int64_t, int64_t>;
+  EXPECT_EQ(push(Value(), 0), Counts(1, 0));
+  EXPECT_EQ(push(Value(1.5), 1), Counts(2, 1));
+  EXPECT_EQ(push(Value(), 2), Counts(3, 1));
+  EXPECT_EQ(push(Value(2.5), 3), Counts(3, 2));  // the NULL at 0 left
+  EXPECT_EQ(push(Value(), 5), Counts(2, 1));     // 1.5 and the NULL at 2 left
+  EXPECT_EQ(push(Value(), 8), Counts(1, 0));
+}
+
 // ---- Reference check: every emitted row against a whole-window rescan ----
 
 // Input rows for the rescan check: a two-column group key, a numeric and a
@@ -195,16 +220,19 @@ std::vector<Value> RescanRow(const std::vector<Tuple>& seen, Duration window,
   for (const AggSpec& a : aggs) {
     double sum = 0.0;
     int64_t numeric = 0;
+    int64_t present = 0;
     if (!a.star) {
       for (const Tuple* t : group) {
+        if (!t->value(a.arg).is_null()) ++present;
         if (!t->value(a.arg).is_numeric()) continue;
         sum += t->value(a.arg).NumericValue();
         ++numeric;
       }
     }
     switch (a.func) {
-      case AggFunc::kCount:  // COUNT(col) counts NULL rows too
-        row.emplace_back(static_cast<int64_t>(group.size()));
+      case AggFunc::kCount:  // COUNT(col) skips NULL arguments
+        row.emplace_back(a.star ? static_cast<int64_t>(group.size())
+                                : present);
         break;
       case AggFunc::kSum:
         row.emplace_back(sum);
@@ -239,6 +267,7 @@ TEST(WindowAggregate, MatchesWholeWindowRescan) {
   const std::vector<size_t> keys = {0, 1};
   const std::vector<AggSpec> aggs = {
       {AggFunc::kCount, true, 0}, {AggFunc::kCount, false, 2},
+      {AggFunc::kCount, false, 3},
       {AggFunc::kSum, false, 2},  {AggFunc::kAvg, false, 2},
       {AggFunc::kMin, false, 2},  {AggFunc::kMax, false, 2},
       {AggFunc::kMin, false, 3},  {AggFunc::kMax, false, 3}};

@@ -27,7 +27,13 @@ printed beside the verdict. Four gates, all measured within the same run:
   3. Telemetry overhead — publishing through an instrumented CBN
      (BM_ForwardWithTelemetry) keeps at least MIN_TELEMETRY_RATIO of the
      bare network's throughput (BM_ForwardWithoutTelemetry), so the
-     instruments can stay on everywhere.
+     instruments can stay on everywhere. The gate reads the median of the
+     per-repetition ratios With/Without, paired by repetition_index:
+     random interleaving runs both sides of a pair in the same round, so
+     host drift between rounds cancels out of each ratio. A run whose
+     ratios spread too widely to decide is refused as undecided: their
+     interquartile range may be at most MAX_TELEMETRY_RATIO_SPREAD (10%)
+     of their median.
   4. Allocations — a deterministic instrument, so it is checked on every
      repetition rather than on medians: on BM_RoutingForwardIndexed and
      BM_MatchCompiled at every size, allocs_per_datagram is no more than
@@ -47,6 +53,9 @@ MIN_SPEEDUP = 5.0
 MIN_MATCH_SPEEDUP = 3.0
 # Instrumented forwarding must retain >= 95% of bare throughput.
 MIN_TELEMETRY_RATIO = 0.95
+# The paired telemetry ratios' interquartile range, over their median, above
+# which a run cannot decide the telemetry gate.
+MAX_TELEMETRY_RATIO_SPREAD = 0.10
 SIZES = (100, 1000, 10000)
 IMPLS = ("Indexed", "Linear")
 MATCH_IMPLS = ("Compiled", "Interpreted")
@@ -58,6 +67,18 @@ TELEMETRY_BENCHES = (
     "BM_ForwardWithoutTelemetry",
     "BM_ForwardWithTelemetry",
 )
+
+
+def paired_ratios(rows, numerator, denominator):
+    """datagrams_per_sec of `numerator` over `denominator`, one ratio per
+    repetition_index that both report, in repetition order."""
+    def by_rep(name):
+        return {b["repetition_index"]: b["datagrams_per_sec"] for b in rows
+                if b.get("run_type") == "iteration"
+                and b.get("run_name") == name
+                and "datagrams_per_sec" in b and "repetition_index" in b}
+    num, den = by_rep(numerator), by_rep(denominator)
+    return [num[i] / den[i] for i in sorted(num.keys() & den.keys())]
 
 
 def main() -> int:
@@ -160,19 +181,39 @@ def main() -> int:
 
     bare = bench["BM_ForwardWithoutTelemetry"]["datagrams_per_sec"]
     instrumented = bench["BM_ForwardWithTelemetry"]["datagrams_per_sec"]
-    ratio = instrumented / bare
-    print(f"telemetry: bare {bare:>14,.0f} dg/s | instrumented "
-          f"{instrumented:>14,.0f} dg/s | {ratio:6.1%} retained")
+    print(f"telemetry medians: bare {bare:>14,.0f} dg/s | instrumented "
+          f"{instrumented:>14,.0f} dg/s")
     print(f"CV: bare {cv('BM_ForwardWithoutTelemetry'):.1%} | instrumented "
           f"{cv('BM_ForwardWithTelemetry'):.1%}")
-    if ratio < MIN_TELEMETRY_RATIO:
-        print(f"telemetry overhead too high: instrumented forwarding keeps "
-              f"only {ratio:.1%} of bare throughput "
-              f"(need >= {MIN_TELEMETRY_RATIO:.0%})", file=sys.stderr)
+    ratios = paired_ratios(rows, "BM_ForwardWithTelemetry",
+                           "BM_ForwardWithoutTelemetry")
+    if len(ratios) < 3:
+        print(f"telemetry gate needs >= 3 paired repetitions, found "
+              f"{len(ratios)}: rerun bench_micro with "
+              "--benchmark_repetitions=5 and without "
+              "--benchmark_report_aggregates_only", file=sys.stderr)
         ok = False
     else:
-        print(f"OK: telemetry keeps {ratio:.1%} >= "
-              f"{MIN_TELEMETRY_RATIO:.0%} of bare forwarding throughput")
+        ratio = statistics.median(ratios)
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        spread = (q3 - q1) / ratio
+        print(f"telemetry: per-repetition ratios "
+              f"{' '.join(f'{r:.3f}' for r in ratios)} | median "
+              f"{ratio:.1%} retained | IQR {spread:.1%} of the median")
+        if spread > MAX_TELEMETRY_RATIO_SPREAD:
+            print(f"telemetry gate undecided: the paired ratios' IQR is "
+                  f"{spread:.1%} of their median (ceiling "
+                  f"{MAX_TELEMETRY_RATIO_SPREAD:.0%}); the host is too "
+                  "noisy to tell, rerun on a quieter one", file=sys.stderr)
+            ok = False
+        elif ratio < MIN_TELEMETRY_RATIO:
+            print(f"telemetry overhead too high: instrumented forwarding "
+                  f"keeps only {ratio:.1%} of bare throughput "
+                  f"(need >= {MIN_TELEMETRY_RATIO:.0%})", file=sys.stderr)
+            ok = False
+        else:
+            print(f"OK: telemetry keeps {ratio:.1%} >= "
+                  f"{MIN_TELEMETRY_RATIO:.0%} of bare forwarding throughput")
 
     for name in ALLOC_BENCHES:
         reps = [b for b in rows if b.get("run_type") == "iteration"
